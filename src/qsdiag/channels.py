@@ -77,20 +77,11 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        if self.kind in _BOUNDED_THETA_KINDS and not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"{self.kind} requires theta in [0, pi], got {self.theta!r}")
+        _check_bounded_theta(self.kind, self.theta)
         if self.kind == "depolarizing_general":
             if self.env_amplitudes is None:
                 raise ValueError("depolarizing_general requires four environment amplitudes")
-            amps = tuple(complex(a) for a in self.env_amplitudes)
-            if len(amps) != 4:
-                raise ValueError(f"expected 4 environment amplitudes, got {len(amps)}")
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"environment amplitudes are not normalized: |v| = {norm!r}")
-            object.__setattr__(self, "env_amplitudes", amps)
+            object.__setattr__(self, "env_amplitudes", _normalized_env(self.env_amplitudes))
         elif self.env_amplitudes is not None:
             raise ValueError(f"{self.kind} does not take environment amplitudes")
 
@@ -183,13 +174,7 @@ def make_depolarizing_general(env_amplitudes) -> KrausChannel:
     Environment phases are accepted and ignored.  Zero-weight operators
     are pruned.
     """
-    amps = tuple(complex(a) for a in env_amplitudes)
-    if len(amps) != 4:
-        raise ValueError(f"expected 4 environment amplitudes, got {len(amps)}")
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"environment amplitudes are not normalized: |v| = {norm!r}")
-    weights = [abs(a) for a in amps]
+    weights = [abs(a) for a in _normalized_env(env_amplitudes)]
     ops = prune_operators([
         weights[0] * I2,
         weights[1] * SIGMA_X,
@@ -214,10 +199,22 @@ def make_depolarizing_standard(theta: float) -> KrausChannel:
 
 
 def _check_bounded_theta(kind: str, theta: float):
+    """Require a finite theta, and theta in [0, pi] for the bounded kinds."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if not 0.0 <= theta <= math.pi + 1e-12:
+    if kind in _BOUNDED_THETA_KINDS and not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError(f"{kind} requires theta in [0, pi], got {theta!r}")
+
+
+def _normalized_env(env_amplitudes) -> tuple:
+    """Four environment amplitudes as complex numbers; raises unless their norm is 1."""
+    amps = tuple(complex(a) for a in env_amplitudes)
+    if len(amps) != 4:
+        raise ValueError(f"expected 4 environment amplitudes, got {len(amps)}")
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"environment amplitudes are not normalized: |v| = {norm!r}")
+    return amps
 
 
 def channel_from_spec(spec: ChannelSpec) -> KrausChannel:

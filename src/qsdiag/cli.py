@@ -3,9 +3,10 @@
 Subcommands: validate, evolve, purify, trace, ellipsoid, diagram.
 Matrices travel as JSON ({"rows", "cols", "re", "im"}), channels as
 "kind:theta[:a,b,c,d]" spec strings, ellipsoids as x,y,z CSV and circuits
-in the text format of `qsdiag.diagram`.  Numeric flags accept decimals or
-pi-fractions such as "pi/4".  The validation tolerance comes from --tol,
-else the QSDIAG_TOL environment variable, else 1e-10.
+in the text format of `qsdiag.diagram`.  Numeric flags accept finite
+decimals or pi-fractions such as "pi/4".  The validation tolerance comes
+from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
+be non-negative.
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .bloch import affine_map_of_channel, ellipsoid_samples, points_to_csv
 from .channels import channel_from_spec, parse_channel_spec
+from .composite import partial_trace
 from .core import (
     DensityMatrix,
     FormatError,
@@ -38,12 +40,13 @@ DEFAULT_TOL = 1e-10
 
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return parse_number(args.tol)
-    env = os.environ.get("QSDIAG_TOL")
-    if env:
-        return parse_number(env)
-    return DEFAULT_TOL
+    text = args.tol if args.tol is not None else os.environ.get("QSDIAG_TOL") or None
+    if text is None:
+        return DEFAULT_TOL
+    tol = parse_number(text)
+    if tol < 0:
+        raise FormatError(f"tolerance must be non-negative, got {text!r}")
+    return tol
 
 
 def _load_matrix(path: str):
@@ -105,8 +108,6 @@ def cmd_purify(args) -> tuple:
 
 
 def cmd_trace(args) -> tuple:
-    from .composite import partial_trace
-
     tol = _resolve_tol(args)
     rho = _load_density(args.rho, tol)
     reduced = partial_trace(rho, sorted(set(args.qubits)))
@@ -162,27 +163,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rho", help="density matrix JSON file")
     p.add_argument("channel", help="channel spec, e.g. phase_flip:pi/2")
     p.add_argument("--steps", type=int, default=1, help="number of applications")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("purify", parents=[common],
                        help="purify a single-qubit density matrix")
     p.add_argument("rho", help="density matrix JSON file")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("trace", parents=[common],
                        help="trace out the given qubits of a density matrix")
     p.add_argument("rho", help="density matrix JSON file")
     p.add_argument("qubits", type=int, nargs="+", help="qubit indices to trace out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("ellipsoid", parents=[common],
                        help="sample the Bloch-sphere image of a channel as CSV")
     p.add_argument("channel", help="channel spec, e.g. amp_damp_z_plus:pi/4")
     p.add_argument("--grid", default="12x24", help="latitude x longitude grid (default 12x24)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_ellipsoid)
 
     p = sub.add_parser("diagram", parents=[common],

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, as_complex_matrix, n_qubits_for_dim
+from .core import MAX_QUBITS, DensityMatrix, as_complex_matrix, n_qubits_for_dim
 
 
 def tensor(a, b) -> np.ndarray:
@@ -77,11 +77,8 @@ def permute_qubits(rho: DensityMatrix, permutation: Sequence[int]) -> DensityMat
     perm = tuple(int(p) for p in permutation)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"permutation {perm} is not a bijection on 0..{n - 1}")
+    index_map = _scatter_table(perm)
     dim = 1 << n
-    vals = np.arange(dim, dtype=np.int64)
-    index_map = np.zeros(dim, dtype=np.int64)
-    for k, p in enumerate(perm):
-        index_map |= ((vals >> k) & 1) << p
     out = np.zeros((dim, dim), dtype=complex)
     out[np.ix_(index_map, index_map)] = rho.matrix
     return DensityMatrix(out)
@@ -99,8 +96,8 @@ def immerse_gate(gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     if rows != cols:
         raise ValueError(f"gate matrix must be square, got {rows}x{cols}")
     k = n_qubits_for_dim(rows)
-    if n_qubits < 1 or n_qubits > 10:
-        raise ValueError(f"n_qubits must be in 1..10, got {n_qubits}")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
     targets_t = check_qubit_subset(n_qubits, targets, name="target qubits")
     if len(targets_t) != k:
         raise ValueError(f"gate acts on {k} qubit(s) but {len(targets_t)} target(s) given")

@@ -8,6 +8,7 @@ spectral / validation helpers, and the JSON wire form used by the CLI.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -53,6 +54,11 @@ def as_complex_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """Max-norm of U^dagger U - 1 for a square matrix U."""
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
 
 
 class PureState:
@@ -230,10 +236,12 @@ def matrix_from_json_dict(doc) -> np.ndarray:
             f"re/im must each hold rows*cols = {rows * cols} entries, "
             f"got {len(re_part)} and {len(im_part)}"
         )
+    if bool in map(type, re_part) or bool in map(type, im_part):
+        raise FormatError("re/im entries must be numbers, not booleans")
     try:
         re_arr = np.asarray([float(x) for x in re_part], dtype=float)
         im_arr = np.asarray([float(x) for x in im_part], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"re/im entries must be numbers: {exc}") from None
     if not np.all(np.isfinite(re_arr)) or not np.all(np.isfinite(im_arr)):
         raise FormatError("matrix entries must be finite")
@@ -266,32 +274,33 @@ _PI_RE = re.compile(
 
 
 def parse_number(text: str) -> float:
-    """Parse a real literal: a decimal or a pi-fraction like "pi/4" or "2pi/3"."""
+    """Parse a finite real literal: a decimal or a pi-fraction like "pi/4" or "2pi/3"."""
     s = str(text).strip()
     match = _PI_RE.match(s)
-    if match:
-        value = math.pi
-        if match.group("coef"):
-            value *= float(match.group("coef"))
-        if match.group("den"):
-            value /= float(match.group("den"))
-        if match.group("sign") == "-":
-            value = -value
-        return value
     try:
-        return float(s)
-    except ValueError:
+        if match:
+            value = math.pi * float(match.group("coef") or 1) / float(match.group("den") or 1)
+            if match.group("sign") == "-":
+                value = -value
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError):
         raise FormatError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"number {text!r} is not finite")
+    return value
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a complex literal ("0.5", "-1j", "0.5+0.5j") or a real pi-fraction."""
+    """Parse a finite complex literal ("0.5", "-1j", "0.5+0.5j") or a real pi-fraction."""
     s = str(text).strip().replace(" ", "")
     try:
-        return complex(s)
+        value = complex(s)
     except ValueError:
-        pass
-    try:
-        return complex(parse_number(s))
-    except FormatError:
-        raise FormatError(f"cannot parse complex number {text!r}") from None
+        try:
+            return complex(parse_number(s))
+        except FormatError:
+            raise FormatError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(value):
+        raise FormatError(f"complex number {text!r} is not finite")
+    return value

@@ -32,8 +32,18 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .composite import immerse_gate
-from .core import MAX_QUBITS, PureState, FormatError, parse_complex, parse_number
+from .composite import _scatter_table, immerse_gate
+from .core import (
+    MAX_QUBITS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    FormatError,
+    PureState,
+    parse_complex,
+    parse_number,
+    unitarity_defect,
+)
 
 # Entries below this magnitude do not produce diagram edges.
 EDGE_TOL = 1e-12
@@ -63,9 +73,9 @@ def _phase(t):
 # matrices are written with the first listed qubit as the most significant
 # index bit (ket order |q_first q_second>).
 _BASE_GATES = {
-    "x": (0, 1, lambda: np.array([[0, 1], [1, 0]], dtype=complex)),
-    "y": (0, 1, lambda: np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "z": (0, 1, lambda: np.array([[1, 0], [0, -1]], dtype=complex)),
+    "x": (0, 1, lambda: SIGMA_X),
+    "y": (0, 1, lambda: SIGMA_Y),
+    "z": (0, 1, lambda: SIGMA_Z),
     "h": (0, 1, lambda: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
     "s": (0, 1, lambda: np.array([[1, 0], [0, 1j]], dtype=complex)),
     "t": (0, 1, lambda: np.array([[1, 0], [0, np.exp(0.25j * math.pi)]], dtype=complex)),
@@ -130,11 +140,8 @@ def _reorder_to_sorted(matrix: np.ndarray, listed: tuple) -> tuple:
     """Re-express a listed-order (MSB-first) gate matrix over sorted targets."""
     k = len(listed)
     targets = tuple(sorted(listed))
-    vals = np.arange(1 << k)
-    omap = np.zeros(1 << k, dtype=np.int64)
-    for i, q in enumerate(listed):
-        src_bit = targets.index(q)
-        omap |= ((vals >> src_bit) & 1) << (k - 1 - i)
+    # Sorted bit j (qubit targets[j]) is listed bit k-1-i, where listed[i] == targets[j].
+    omap = _scatter_table(tuple(k - 1 - listed.index(t) for t in targets))
     return targets, matrix[np.ix_(omap, omap)]
 
 
@@ -161,7 +168,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
         if params:
             raise ValueError("matrix gate takes no parameters")
         arity = 1 if m.shape[0] == 2 else 2
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        defect = unitarity_defect(m)
         if defect > 1e-10:
             raise ValueError(f"matrix literal is not unitary (defect {defect:.3e})")
         full = m
@@ -179,9 +186,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
         full = builder(*params)
         if controlled:
             dim = full.shape[0]
-            top = np.eye(dim, dtype=complex)
-            block = np.zeros((2 * dim, 2 * dim), dtype=complex)
-            block[:dim, :dim] = top
+            block = np.eye(2 * dim, dtype=complex)
             block[dim:, dim:] = full
             full = block
             arity += 1
@@ -350,23 +355,12 @@ def parse_circuit(text: str) -> Circuit:
 # Simulation and diagram construction
 
 
-def _immersed(gate: Gate, n_qubits: int) -> np.ndarray:
-    return immerse_gate(gate.matrix, gate.targets, n_qubits)
-
-
-def boundary_states(circuit: Circuit) -> list:
-    """State vector at every layer boundary (len = number of gates + 1)."""
-    psi = circuit.input_state.amplitudes.copy()
-    states = [psi]
-    for gate in circuit.gates:
-        psi = _immersed(gate, circuit.n_qubits) @ psi
-        states.append(psi)
-    return states
-
-
 def simulate(circuit: Circuit) -> PureState:
     """Final state of the circuit applied to its input."""
-    return PureState(boundary_states(circuit)[-1], atol=1e-9)
+    psi = circuit.input_state.amplitudes.copy()
+    for gate in circuit.gates:
+        psi = immerse_gate(gate.matrix, gate.targets, circuit.n_qubits) @ psi
+    return PureState(psi, atol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -408,25 +402,24 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     """
     if mode not in ("complete", "simplified"):
         raise ValueError(f"mode must be 'complete' or 'simplified', got {mode!r}")
-    states = boundary_states(circuit)
-    active = tuple(bool(abs(a) > EDGE_TOL) for a in states[0])
-    boundaries = [LineActivity(active, tuple(states[0]))]
+    psi = circuit.input_state.amplitudes.copy()
+    active = np.abs(psi) > EDGE_TOL
+    boundaries = [LineActivity(tuple(active.tolist()), tuple(psi))]
     layers = []
-    for t, gate in enumerate(circuit.gates):
-        u = _immersed(gate, circuit.n_qubits)
-        edges = []
-        for src in range(u.shape[0]):
-            for dst in np.nonzero(np.abs(u[:, src]) > EDGE_TOL)[0]:
-                edges.append((src, int(dst), complex(u[dst, src])))
+    for gate in circuit.gates:
+        u = immerse_gate(gate.matrix, gate.targets, circuit.n_qubits)
+        psi = u @ psi
+        # Non-zeros of u^T come out ordered by (src, dst): column, then row of u.
+        src, dst = np.nonzero(np.abs(u.T) > EDGE_TOL)
         if mode == "simplified":
-            edges = [e for e in edges if active[e[0]]]
-        next_active = [False] * u.shape[0]
-        for src, dst, _ in edges:
-            if active[src]:
-                next_active[dst] = True
-        active = tuple(next_active)
-        layers.append(DiagramLayer(gate.label, tuple(edges)))
-        boundaries.append(LineActivity(active, tuple(states[t + 1])))
+            kept = active[src]
+            src, dst = src[kept], dst[kept]
+        edges = tuple(zip(src.tolist(), dst.tolist(), u[dst, src].tolist()))
+        next_active = np.zeros(psi.size, dtype=bool)
+        next_active[dst[active[src]]] = True
+        active = next_active
+        layers.append(DiagramLayer(gate.label, edges))
+        boundaries.append(LineActivity(tuple(active.tolist()), tuple(psi)))
     return StateDiagram(circuit.n_qubits, mode, tuple(layers), tuple(boundaries))
 
 
@@ -469,12 +462,12 @@ def render_text(diagram: StateDiagram) -> str:
         f"input: {_input_label(diagram)}",
         "",
     ]
+    touched = [{line for edge in layer.edges for line in edge[:2]} for layer in diagram.layers]
     for i in range(n_lines):
         row = [f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> "]
         for t in range(n_layers):
             row.append("====" if diagram.boundaries[t].active[i] else "----")
-            touched = any(i in (src, dst) for src, dst, _ in diagram.layers[t].edges)
-            row.append(f"[{t + 1:>{dw}}]" if touched else "[" + " " * dw + "]")
+            row.append(f"[{t + 1:>{dw}}]" if i in touched[t] else "[" + " " * dw + "]")
         row.append("====" if diagram.boundaries[n_layers].active[i] else "----")
         out.append("".join(row))
     for t, layer in enumerate(diagram.layers):
@@ -492,48 +485,37 @@ def render_text(diagram: StateDiagram) -> str:
     return "\n".join(out)
 
 
-@dataclass(frozen=True)
-class DiagramLayout:
-    """Deterministic geometry constants for the SVG renderer."""
-
-    margin_x: float = 70.0
-    margin_y: float = 56.0
-    layer_width: float = 150.0
-    wire_width: float = 40.0
-    line_pitch: float = 30.0
-    thick: float = 2.6
-    thin: float = 0.8
-    font_size: int = 11
-
-    @property
-    def gate_width(self) -> float:
-        return self.layer_width - self.wire_width
-
-
-DEFAULT_LAYOUT = DiagramLayout()
+# SVG geometry: fixed constants, so equal diagrams render to byte-identical documents.
+_MARGIN_X = 70.0
+_MARGIN_Y = 56.0
+_LAYER_WIDTH = 150.0
+_WIRE_WIDTH = 40.0
+_LINE_PITCH = 30.0
+_THICK = 2.6
+_THIN = 0.8
+_FONT_SIZE = 11
 
 _ACTIVE_COLOR = "#16324f"
 _DORMANT_COLOR = "#b6c2cc"
 _LABEL_COLOR = "#5b6770"
 
 
-def render_svg(diagram: StateDiagram, layout: DiagramLayout = DEFAULT_LAYOUT) -> str:
+def render_svg(diagram: StateDiagram) -> str:
     """SVG 1.1 rendering: horizontal basis lines, one column per layer.
 
     Active segments and edges are thick, dormant ones thin; each edge
-    carries its amplitude to three significant digits.  Geometry comes only
-    from `layout`, so equal diagrams render to byte-identical documents.
+    carries its amplitude to three significant digits.
     """
     n_lines = diagram.n_lines
     n_layers = len(diagram.layers)
-    width = 2 * layout.margin_x + n_layers * layout.layer_width + layout.wire_width
-    height = layout.margin_y + (n_lines - 1) * layout.line_pitch + 40.0
+    width = 2 * _MARGIN_X + n_layers * _LAYER_WIDTH + _WIRE_WIDTH
+    height = _MARGIN_Y + (n_lines - 1) * _LINE_PITCH + 40.0
 
     def x_boundary(t: int) -> float:
-        return layout.margin_x + t * layout.layer_width
+        return _MARGIN_X + t * _LAYER_WIDTH
 
     def y_line(i: int) -> float:
-        return layout.margin_y + i * layout.line_pitch
+        return _MARGIN_Y + i * _LINE_PITCH
 
     def f(v: float) -> str:
         return f"{v:.1f}"
@@ -544,13 +526,13 @@ def render_svg(diagram: StateDiagram, layout: DiagramLayout = DEFAULT_LAYOUT) ->
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{f(width)}" height="{f(height)}" '
         f'viewBox="0 0 {f(width)} {f(height)}">',
         f'<rect x="0" y="0" width="{f(width)}" height="{f(height)}" fill="#ffffff"/>',
-        f'<text x="{f(layout.margin_x)}" y="20" font-family="monospace" '
-        f'font-size="{layout.font_size + 2}" fill="{_ACTIVE_COLOR}">{escape(title)}</text>',
+        f'<text x="{f(_MARGIN_X)}" y="20" font-family="monospace" '
+        f'font-size="{_FONT_SIZE + 2}" fill="{_ACTIVE_COLOR}">{escape(title)}</text>',
     ]
     for i in range(n_lines):
         parts.append(
-            f'<text x="{f(layout.margin_x - 58.0)}" y="{f(y_line(i) + 4.0)}" '
-            f'font-family="monospace" font-size="{layout.font_size}" '
+            f'<text x="{f(_MARGIN_X - 58.0)}" y="{f(y_line(i) + 4.0)}" '
+            f'font-family="monospace" font-size="{_FONT_SIZE}" '
             f'fill="{_LABEL_COLOR}">{escape(f"{i} |{i:0{diagram.n_qubits}b}>")}</text>'
         )
     # Boundary wire stubs.
@@ -559,18 +541,18 @@ def render_svg(diagram: StateDiagram, layout: DiagramLayout = DEFAULT_LAYOUT) ->
         for i in range(n_lines):
             active = diagram.boundaries[t].active[i]
             parts.append(
-                f'<line x1="{f(x0)}" y1="{f(y_line(i))}" x2="{f(x0 + layout.wire_width)}" '
+                f'<line x1="{f(x0)}" y1="{f(y_line(i))}" x2="{f(x0 + _WIRE_WIDTH)}" '
                 f'y2="{f(y_line(i))}" stroke="{_ACTIVE_COLOR if active else _DORMANT_COLOR}" '
-                f'stroke-width="{layout.thick if active else layout.thin}"/>'
+                f'stroke-width="{_THICK if active else _THIN}"/>'
             )
     # Gate zones.
     for t, layer in enumerate(diagram.layers):
-        x0 = x_boundary(t) + layout.wire_width
+        x0 = x_boundary(t) + _WIRE_WIDTH
         x1 = x_boundary(t + 1)
         label_x = (x0 + x1) / 2.0
         parts.append(
-            f'<text x="{f(label_x)}" y="{f(layout.margin_y - 18.0)}" text-anchor="middle" '
-            f'font-family="monospace" font-size="{layout.font_size}" '
+            f'<text x="{f(label_x)}" y="{f(_MARGIN_Y - 18.0)}" text-anchor="middle" '
+            f'font-family="monospace" font-size="{_FONT_SIZE}" '
             f'fill="{_LABEL_COLOR}">{escape(layer.label)}</text>'
         )
         has_out = [False] * n_lines
@@ -578,7 +560,7 @@ def render_svg(diagram: StateDiagram, layout: DiagramLayout = DEFAULT_LAYOUT) ->
             has_out[src] = True
             active = diagram.boundaries[t].active[src]
             color = _ACTIVE_COLOR if active else _DORMANT_COLOR
-            stroke = layout.thick if active else layout.thin
+            stroke = _THICK if active else _THIN
             y0, y1 = y_line(src), y_line(dst)
             parts.append(
                 f'<line x1="{f(x0)}" y1="{f(y0)}" x2="{f(x1)}" y2="{f(y1)}" '
@@ -588,7 +570,7 @@ def render_svg(diagram: StateDiagram, layout: DiagramLayout = DEFAULT_LAYOUT) ->
             ly = y0 + 0.38 * (y1 - y0) - 4.0
             parts.append(
                 f'<text x="{f(lx)}" y="{f(ly)}" font-family="monospace" '
-                f'font-size="{layout.font_size - 2}" fill="{_LABEL_COLOR}">'
+                f'font-size="{_FONT_SIZE - 2}" fill="{_LABEL_COLOR}">'
                 f'{escape(_fmt_amp(amp))}</text>'
             )
         # Dormant lines whose edges were pruned still continue, thin.
@@ -596,7 +578,7 @@ def render_svg(diagram: StateDiagram, layout: DiagramLayout = DEFAULT_LAYOUT) ->
             if not has_out[i]:
                 parts.append(
                     f'<line x1="{f(x0)}" y1="{f(y_line(i))}" x2="{f(x1)}" y2="{f(y_line(i))}" '
-                    f'stroke="{_DORMANT_COLOR}" stroke-width="{layout.thin}"/>'
+                    f'stroke="{_DORMANT_COLOR}" stroke-width="{_THIN}"/>'
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composite import partial_trace, tensor
-from .core import DensityMatrix, PureState, as_complex_matrix, n_qubits_for_dim
+from .core import (
+    DensityMatrix,
+    FormatError,
+    PureState,
+    as_complex_matrix,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+    n_qubits_for_dim,
+    unitarity_defect,
+)
 
 COMPLETENESS_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -66,6 +75,14 @@ def validate_channel(channel: KrausChannel) -> float:
     return float(np.max(np.abs(acc - np.eye(channel.dim))))
 
 
+def _check_trace_preserving(channel: KrausChannel, tol: float) -> float:
+    """The completeness defect of `channel`; raises ValueError if it exceeds `tol`."""
+    defect = validate_channel(channel)
+    if defect > tol:
+        raise ValueError(f"channel is not trace preserving (defect {defect:.3e} > {tol:.1e})")
+    return defect
+
+
 def apply_channel(channel: KrausChannel, rho: DensityMatrix,
                   tol: float = COMPLETENESS_TOL) -> DensityMatrix:
     """Evolve `rho` through the channel: rho' = sum_i F_i rho F_i^dagger."""
@@ -73,9 +90,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
         raise ValueError(
             f"channel dimension {channel.dim} does not match state dimension {rho.dim}"
         )
-    defect = validate_channel(channel)
-    if defect > tol:
-        raise ValueError(f"channel is not trace preserving (defect {defect:.3e} > {tol:.1e})")
+    defect = _check_trace_preserving(channel, tol)
     out = np.zeros_like(rho.matrix)
     for op in channel.operators:
         out += op @ rho.matrix @ op.conj().T
@@ -100,7 +115,7 @@ def kraus_from_unitary(unitary, env_state: PureState) -> KrausChannel:
     u = as_complex_matrix(unitary)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 unitary, got {u.shape[0]}x{u.shape[1]}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
+    defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     if env_state.n_qubits != 1:
@@ -126,9 +141,7 @@ def dilate_single_ancilla(channel: KrausChannel) -> np.ndarray:
         raise ValueError(
             f"dilation needs at most two operators, channel has {len(channel.operators)}"
         )
-    defect = validate_channel(channel)
-    if defect > COMPLETENESS_TOL:
-        raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
+    _check_trace_preserving(channel, COMPLETENESS_TOL)
     f0 = channel.operators[0]
     f1 = channel.operators[1] if len(channel.operators) == 2 else np.zeros((2, 2), dtype=complex)
     cols = [np.concatenate([f0[:, j], f1[:, j]]) for j in range(2)]
@@ -143,7 +156,7 @@ def dilate_single_ancilla(channel: KrausChannel) -> np.ndarray:
         if norm > 1e-8:
             cols.append(v / norm)
     u = np.column_stack(cols)
-    closure = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
+    closure = unitarity_defect(u)
     if closure > 1e-9:
         raise ValueError(f"dilation failed to close to a unitary (defect {closure:.3e})")
     return u
@@ -165,8 +178,6 @@ def channel_with_ancilla(channel: KrausChannel, rho: DensityMatrix) -> DensityMa
 
 
 def channel_to_json_dict(channel: KrausChannel) -> dict:
-    from .core import matrix_to_json_dict
-
     return {
         "name": channel.name,
         "operators": [matrix_to_json_dict(op) for op in channel.operators],
@@ -174,8 +185,6 @@ def channel_to_json_dict(channel: KrausChannel) -> dict:
 
 
 def channel_from_json_dict(doc) -> KrausChannel:
-    from .core import FormatError, matrix_from_json_dict
-
     if not isinstance(doc, dict) or "operators" not in doc:
         raise FormatError("channel document must be an object with an 'operators' array")
     ops = doc["operators"]

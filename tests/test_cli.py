@@ -208,6 +208,52 @@ def test_usage_error_exit_code(capsys):
     assert main(["evolve"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-1e-12", "pi/0"])
+def test_tol_must_be_finite_and_non_negative(rho_file, capsys, tol):
+    code, out, err = run(capsys, "validate", rho_file, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_tol_env_must_be_non_negative(rho_file, capsys, monkeypatch):
+    monkeypatch.setenv("QSDIAG_TOL", "-1")
+    code, _, err = run(capsys, "purify", rho_file)
+    assert code == 2
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize("statement", [
+    "rx(nan) 0", "input [nan, 1]", "matrix [[nan,0],[0,1]] 0",
+])
+def test_non_finite_circuit_literal_is_positioned_usage_error(tmp_path, capsys, statement):
+    circ = tmp_path / "nan.qs"
+    circ.write_text(f"qubits 1\n{statement}\n")
+    code, _, err = run(capsys, "diagram", str(circ))
+    assert code == 2
+    assert "line 2" in err
+
+
+def test_json_booleans_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"rows": 2, "cols": 2, "re": [true, 0, 0, false], "im": [0, 0, 0, 0]}\n')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "PASS" not in out
+    assert "boolean" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "RHO", "phase_flip:1", "--format", "json"],
+    ["purify", "RHO", "--format", "json"],
+    ["trace", "RHO", "0", "--format", "json"],
+    ["ellipsoid", "phase_flip:1", "--format", "csv"],
+])
+def test_format_flag_exists_only_on_diagram(rho_file, capsys, argv):
+    argv = [rho_file if a == "RHO" else a for a in argv]
+    assert main(argv) == 2
+
+
 def test_byte_identical_reruns(rho_file, capsys):
     outputs = []
     for _ in range(2):

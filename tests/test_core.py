@@ -154,6 +154,10 @@ def test_matrix_json_field_names():
     '{"rows": "2", "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
     '{"rows": 2, "cols": 2, "re": [1, 0, 0, "x"], "im": [0, 0, 0, 0]}',
     '{"rows": 2, "cols": 2, "re": [1, 0, 0, NaN], "im": [0, 0, 0, 0]}',
+    '{"rows": 2, "cols": 2, "re": [true, 0, 0, false], "im": [0, 0, 0, 0]}',
+    '{"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, false, 0, 0]}',
+    pytest.param('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}',
+                 id="int-beyond-float-range"),
     "[1, 2, 3]",
 ])
 def test_matrix_json_rejects_malformed(text):
@@ -176,7 +180,8 @@ def test_parse_number(text, value):
     assert parse_number(text) == pytest.approx(value, abs=1e-15)
 
 
-@pytest.mark.parametrize("text", ["", "pi/", "pie", "2x", "1/2/3"])
+@pytest.mark.parametrize("text", ["", "pi/", "pie", "2x", "1/2/3",
+                                  "nan", "inf", "-inf", "1e400", "pi/0"])
 def test_parse_number_rejects(text):
     with pytest.raises(FormatError):
         parse_number(text)
@@ -188,6 +193,12 @@ def test_parse_complex():
     assert parse_complex("pi/2") == pytest.approx(math.pi / 2)
     with pytest.raises(FormatError):
         parse_complex("one")
+
+
+@pytest.mark.parametrize("text", ["nan", "infj", "1+nanj", "-inf", "pi/0"])
+def test_parse_complex_rejects_non_finite(text):
+    with pytest.raises(FormatError):
+        parse_complex(text)
 
 
 def test_pure_states_round_trip_density():

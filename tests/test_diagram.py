@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import random_pure
+from helpers import random_pure, random_unitary
 from qsdiag import (
     Circuit,
     CircuitParseError,
@@ -100,6 +100,10 @@ def test_parse_matrix_literal_rejects_non_unitary():
     ("qubits 2\nry 0\n", "parameter"),
     ("qubits 2\nry(1) extra 0\n", "argument"),
     ("qubits 2\ninput 4\n", "input"),
+    ("qubits 1\nrx(nan) 0\n", "line 2, column 1: number 'nan' is not finite"),
+    ("qubits 1\nrx(inf) 0\n", "line 2, column 1: number 'inf' is not finite"),
+    ("qubits 1\ninput [nan, 1]\n", "line 2, column 1: complex number 'nan' is not finite"),
+    ("qubits 1\nmatrix [[nan,0],[0,1]] 0\n", "line 2, column 8: complex number 'nan'"),
 ])
 def test_parse_error_cases(text, fragment):
     with pytest.raises(CircuitParseError) as err:
@@ -188,6 +192,68 @@ def test_complete_mode_edge_count_matches_entry_count():
         # sorted form must agree with the layer's edge count
         expect = int((np.abs(u) > EDGE_TOL).sum())
         assert len(layer.edges) == expect
+
+
+# name -> (parameters, qubits) for the random circuits of the oracle test.
+_ORACLE_GATES = {
+    "x": (0, 1), "y": (0, 1), "z": (0, 1), "h": (0, 1), "s": (0, 1), "t": (0, 1),
+    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1), "phase": (1, 1), "swap": (0, 2),
+    "cx": (0, 2), "cz": (0, 2), "ch": (0, 2), "cry": (1, 2), "cphase": (1, 2),
+    "cswap": (0, 3), "matrix": (0, None),
+}
+
+
+def random_oracle_circuit(gen, n, n_gates) -> Circuit:
+    """Seeded circuit over the whole gate set, including 1- and 2-qubit matrix literals."""
+    names = sorted(_ORACLE_GATES)
+    gates = []
+    for _ in range(n_gates):
+        name = names[int(gen.integers(len(names)))]
+        n_params, arity = _ORACLE_GATES[name]
+        matrix = None
+        if name == "matrix":
+            arity = int(gen.integers(1, 3))
+            matrix = random_unitary(gen, 2 ** arity)
+        qubits = [int(q) for q in gen.choice(n, size=arity, replace=False)]
+        params = [float(gen.uniform(0.0, 2 * math.pi)) for _ in range(n_params)]
+        gates.append(build_gate(name, params, qubits, n, matrix=matrix))
+    if gen.integers(2):
+        state = random_pure(gen, n)
+    else:
+        state = basis_state(n, int(gen.integers(2 ** n)))
+    return Circuit(n, tuple(gates), state)
+
+
+def diagram_oracle(circuit, mode):
+    """Layers and boundaries from a column scan of each dense immersed gate."""
+    psi = circuit.input_state.amplitudes
+    active = [bool(abs(a) > EDGE_TOL) for a in psi]
+    layers, boundaries = [], [(active, list(psi))]
+    for gate in circuit.gates:
+        u = immerse_gate(gate.matrix, gate.targets, circuit.n_qubits)
+        psi = u @ psi
+        edges = [(src, dst, complex(u[dst, src]))
+                 for src in range(psi.size) for dst in range(psi.size)
+                 if abs(u[dst, src]) > EDGE_TOL and (mode == "complete" or active[src])]
+        reached = [False] * psi.size
+        for src, dst, _ in edges:
+            reached[dst] = reached[dst] or active[src]
+        active = reached
+        layers.append((gate.label, edges))
+        boundaries.append((active, list(psi)))
+    return layers, boundaries
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_build_diagram_matches_column_scan_oracle(n):
+    gen = np.random.default_rng(500 + n)
+    for _ in range(3):
+        circ = random_oracle_circuit(gen, n, 10)
+        for mode in ("complete", "simplified"):
+            diag = build_diagram(circ, mode=mode)
+            layers, boundaries = diagram_oracle(circ, mode)
+            assert [(layer.label, list(layer.edges)) for layer in diag.layers] == layers
+            assert [(list(b.active), list(b.amplitudes)) for b in diag.boundaries] == boundaries
 
 
 def test_purification_diagram_growth_pattern():

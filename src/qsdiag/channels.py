@@ -212,7 +212,7 @@ def _normalized_env(env_amplitudes) -> tuple:
     if len(amps) != 4:
         raise ValueError(f"expected 4 environment amplitudes, got {len(amps)}")
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN
         raise ValueError(f"environment amplitudes are not normalized: |v| = {norm!r}")
     return amps
 

@@ -6,7 +6,7 @@ Matrices travel as JSON ({"rows", "cols", "re", "im"}), channels as
 in the text format of `qsdiag.diagram`.  Numeric flags accept finite
 decimals or pi-fractions such as "pi/4".  The validation tolerance comes
 from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
-be non-negative.
+be non-negative.  `ellipsoid --grid` is capped at MAX_GRID_POINTS points.
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -37,6 +37,8 @@ from .kraus import apply_channel
 from .purify import purify_single_qubit
 
 DEFAULT_TOL = 1e-10
+# Largest LATxLON product `ellipsoid --grid` accepts (the points are held in memory).
+MAX_GRID_POINTS = 1_000_000
 
 
 def _resolve_tol(args) -> float:
@@ -119,9 +121,12 @@ def _parse_grid(text: str) -> tuple:
     if len(parts) != 2:
         raise FormatError(f"--grid must look like LATxLON (e.g. 12x24), got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        n_lat, n_lon = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"--grid needs two integers, got {text!r}") from None
+    if n_lat * n_lon > MAX_GRID_POINTS:
+        raise FormatError(f"--grid {text!r} exceeds the cap of {MAX_GRID_POINTS} points")
+    return n_lat, n_lon
 
 
 def cmd_ellipsoid(args) -> tuple:

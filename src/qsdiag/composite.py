@@ -10,6 +10,7 @@ follows the usual Kronecker layout np.kron(a, b).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,17 +32,20 @@ def check_qubit_subset(n_qubits: int, indices: Sequence[int], *, name: str = "qu
     return idx
 
 
+@lru_cache(maxsize=256)
 def _scatter_table(positions: tuple[int, ...]) -> np.ndarray:
     """Table T with T[v] = v's bits spread onto the given bit positions.
 
     Bit j of v lands at bit positions[j] of the output, so iterating v over
-    range(2^k) enumerates all assignments of the selected qubits.
+    range(2^k) enumerates all assignments of the selected qubits.  Tables
+    are cached per positions tuple and returned read-only.
     """
     k = len(positions)
     vals = np.arange(1 << k, dtype=np.int64)
     out = np.zeros(1 << k, dtype=np.int64)
     for j, p in enumerate(positions):
         out |= ((vals >> j) & 1) << p
+    out.flags.writeable = False
     return out
 
 

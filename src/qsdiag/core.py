@@ -1,9 +1,12 @@
 """Dense complex linear algebra for small qubit registers.
 
-Everything in this package works on explicit 2^n x 2^n complex matrices
-(n <= 10), so plain numpy arrays are the working representation.  This
-module holds the two value types (`PureState`, `DensityMatrix`), the
-spectral / validation helpers, and the JSON wire form used by the CLI.
+Density matrices and channels work on explicit 2^n x 2^n complex
+matrices (n <= 10), so plain numpy arrays are the working representation.
+Circuits are the exception: `qsdiag.diagram` applies each small gate to
+2^n state vectors and builds diagrams gate-locally, never forming the
+2^n x 2^n immersed unitary.  This module holds the two value types
+(`PureState`, `DensityMatrix`), the spectral / validation helpers, and
+the JSON wire form used by the CLI.
 """
 
 from __future__ import annotations
@@ -236,8 +239,8 @@ def matrix_from_json_dict(doc) -> np.ndarray:
             f"re/im must each hold rows*cols = {rows * cols} entries, "
             f"got {len(re_part)} and {len(im_part)}"
         )
-    if bool in map(type, re_part) or bool in map(type, im_part):
-        raise FormatError("re/im entries must be numbers, not booleans")
+    if not all(type(x) in (int, float) for x in re_part + im_part):
+        raise FormatError("re/im entries must be JSON numbers, not strings, booleans or arrays")
     try:
         re_arr = np.asarray([float(x) for x in re_part], dtype=float)
         im_arr = np.asarray([float(x) for x in im_part], dtype=float)

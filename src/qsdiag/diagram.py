@@ -8,6 +8,12 @@ the output line (row index).  In `complete` mode all edges are kept; in
 amplitude, edges leaving dormant lines are pruned, and dormant lines are
 drawn thin.
 
+Diagrams and simulation are built gate-locally: the immersed unitary is
+the 2^k x 2^k gate on its targets and the identity elsewhere, so its
+edges, and the next state vector, follow from the gate's own non-null
+entries and two bit-scatter tables.  The dense 2^n x 2^n immersion
+(`qsdiag.composite.immerse_gate`) is never built.
+
 Circuit text format, one statement per line, `#` starts a comment:
 
     qubits 2            # register size, must come first (1..10)
@@ -32,7 +38,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .composite import _scatter_table, immerse_gate
+from .composite import _scatter_table
 from .core import (
     MAX_QUBITS,
     SIGMA_X,
@@ -134,6 +140,9 @@ class Circuit:
         for g in self.gates:
             if g.targets and g.targets[-1] >= self.n_qubits:
                 raise ValueError(f"gate {g.label!r} targets a qubit outside the register")
+            if g.matrix.shape != (1 << len(g.targets),) * 2:
+                raise ValueError(
+                    f"gate {g.label!r} matrix does not fit its {len(g.targets)} target(s)")
 
 
 def _reorder_to_sorted(matrix: np.ndarray, listed: tuple) -> tuple:
@@ -169,7 +178,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             raise ValueError("matrix gate takes no parameters")
         arity = 1 if m.shape[0] == 2 else 2
         defect = unitarity_defect(m)
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # also rejects NaN
             raise ValueError(f"matrix literal is not unitary (defect {defect:.3e})")
         full = m
     else:
@@ -355,11 +364,37 @@ def parse_circuit(text: str) -> Circuit:
 # Simulation and diagram construction
 
 
+def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
+    """Edges of the gate's immersed unitary as (src, dst, amp) arrays, sorted by (src, dst).
+
+    The immersion maps line tt[c] + off to line tt[r] + off with amplitude
+    g[r, c], for every non-null entry g[r, c] and every offset `off` that
+    assigns the qubits outside the gate (tt and the offsets are the scatter
+    tables of the targets and of the other qubits).
+    """
+    g = gate.matrix
+    r, c = np.nonzero(np.abs(g) > EDGE_TOL)
+    tt = _scatter_table(gate.targets)
+    rest = _scatter_table(tuple(q for q in range(n_qubits) if q not in gate.targets))
+    src = (tt[c][:, None] + rest).ravel()
+    dst = (tt[r][:, None] + rest).ravel()
+    amp = np.repeat(g[r, c], rest.size)
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], amp[order]
+
+
+def _apply_edges(psi: np.ndarray, src, dst, amp) -> np.ndarray:
+    """The state after a gate: each edge carries amp * psi[src] onto line dst."""
+    out = np.zeros_like(psi)
+    np.add.at(out, dst, amp * psi[src])
+    return out
+
+
 def simulate(circuit: Circuit) -> PureState:
     """Final state of the circuit applied to its input."""
     psi = circuit.input_state.amplitudes.copy()
     for gate in circuit.gates:
-        psi = immerse_gate(gate.matrix, gate.targets, circuit.n_qubits) @ psi
+        psi = _apply_edges(psi, *_gate_edges(gate, circuit.n_qubits))
     return PureState(psi, atol=1e-9)
 
 
@@ -404,22 +439,19 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
         raise ValueError(f"mode must be 'complete' or 'simplified', got {mode!r}")
     psi = circuit.input_state.amplitudes.copy()
     active = np.abs(psi) > EDGE_TOL
-    boundaries = [LineActivity(tuple(active.tolist()), tuple(psi))]
+    boundaries = [LineActivity(tuple(active.tolist()), tuple(psi.tolist()))]
     layers = []
     for gate in circuit.gates:
-        u = immerse_gate(gate.matrix, gate.targets, circuit.n_qubits)
-        psi = u @ psi
-        # Non-zeros of u^T come out ordered by (src, dst): column, then row of u.
-        src, dst = np.nonzero(np.abs(u.T) > EDGE_TOL)
+        src, dst, amp = _gate_edges(gate, circuit.n_qubits)
+        psi = _apply_edges(psi, src, dst, amp)
+        reached = active[src]
+        active = np.zeros(psi.size, dtype=bool)
+        active[dst[reached]] = True
         if mode == "simplified":
-            kept = active[src]
-            src, dst = src[kept], dst[kept]
-        edges = tuple(zip(src.tolist(), dst.tolist(), u[dst, src].tolist()))
-        next_active = np.zeros(psi.size, dtype=bool)
-        next_active[dst[active[src]]] = True
-        active = next_active
+            src, dst, amp = src[reached], dst[reached], amp[reached]
+        edges = tuple(zip(src.tolist(), dst.tolist(), amp.tolist()))
         layers.append(DiagramLayer(gate.label, edges))
-        boundaries.append(LineActivity(tuple(active.tolist()), tuple(psi)))
+        boundaries.append(LineActivity(tuple(active.tolist()), tuple(psi.tolist())))
     return StateDiagram(circuit.n_qubits, mode, tuple(layers), tuple(boundaries))
 
 

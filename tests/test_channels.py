@@ -348,6 +348,11 @@ def test_spec_validation():
     ChannelSpec("rotation_x", 12.0)  # rotations take any finite angle
 
 
+def test_spec_rejects_nan_environment_amplitude():
+    with pytest.raises(ValueError):
+        ChannelSpec("depolarizing_general", 0.0, (float("nan"), 0.0, 0.0, 0.0))
+
+
 def test_affine_map_of_channel_matches_oracle():
     for theta in np.linspace(0.0, math.pi, 10):
         for spec in sample_specs(theta):

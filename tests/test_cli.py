@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsdiag import matrix_from_json, matrix_to_json
-from qsdiag.cli import main
+from qsdiag.cli import _parse_grid, main
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 
@@ -142,6 +142,17 @@ def test_ellipsoid_rejects_bad_grid(capsys):
     assert "grid" in err
 
 
+def test_ellipsoid_grid_is_capped(capsys):
+    code, out, err = run(capsys, "ellipsoid", "phase_flip:1", "--grid", "2x100000000")
+    assert code == 2
+    assert out == ""
+    assert "1000000 points" in err
+
+
+def test_ellipsoid_grid_at_cap_is_accepted():
+    assert _parse_grid("1000x1000") == (1000, 1000)
+
+
 def test_diagram_text_output(tmp_path, capsys):
     circ = tmp_path / "bell.txt"
     circ.write_text("qubits 2\nh 0\ncx 0 1\n")
@@ -241,6 +252,15 @@ def test_json_booleans_are_usage_errors(tmp_path, capsys):
     assert code == 2
     assert "PASS" not in out
     assert "boolean" in err
+
+
+def test_json_strings_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "str.json"
+    path.write_text('{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}\n')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "PASS" not in out
+    assert "strings" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -158,6 +158,8 @@ def test_matrix_json_field_names():
     '{"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, false, 0, 0]}',
     pytest.param('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}',
                  id="int-beyond-float-range"),
+    '{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}',
+    '{"rows": 1, "cols": 1, "re": [1], "im": [[0]]}',
     "[1, 2, 3]",
 ])
 def test_matrix_json_rejects_malformed(text):

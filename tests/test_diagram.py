@@ -9,6 +9,7 @@ from qsdiag import (
     Circuit,
     CircuitParseError,
     DensityMatrix,
+    Gate,
     basis_state,
     build_diagram,
     build_gate,
@@ -109,6 +110,11 @@ def test_parse_error_cases(text, fragment):
     with pytest.raises(CircuitParseError) as err:
         parse_circuit(text)
     assert fragment in str(err.value)
+
+
+def test_build_gate_rejects_nan_matrix_literal():
+    with pytest.raises(ValueError):
+        build_gate("matrix", (), (0,), 1, matrix=[[math.nan, 0], [0, 1]])
 
 
 def test_parse_errors_carry_positions():
@@ -253,7 +259,10 @@ def test_build_diagram_matches_column_scan_oracle(n):
             diag = build_diagram(circ, mode=mode)
             layers, boundaries = diagram_oracle(circ, mode)
             assert [(layer.label, list(layer.edges)) for layer in diag.layers] == layers
-            assert [(list(b.active), list(b.amplitudes)) for b in diag.boundaries] == boundaries
+            assert [list(b.active) for b in diag.boundaries] == [a for a, _ in boundaries]
+            # Amplitudes within 1e-12: exact equality would pin BLAS zgemv rounding.
+            got = np.array([b.amplitudes for b in diag.boundaries])
+            assert np.abs(got - np.array([amps for _, amps in boundaries])).max() <= 1e-12
 
 
 def test_purification_diagram_growth_pattern():
@@ -385,3 +394,9 @@ def test_render_svg_labels_amplitudes():
 def test_circuit_validation_catches_misfit_gate():
     with pytest.raises(ValueError):
         Circuit(1, (build_gate("x", (), (1,), 2),), basis_state(1, 0))
+
+
+def test_circuit_rejects_gate_matrix_that_misfits_its_targets():
+    gate = Gate("x", (), (0,), (0,), np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="does not fit"):
+        Circuit(2, (gate,), basis_state(2, 0))

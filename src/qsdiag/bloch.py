@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .core import I2, PAULIS, DensityMatrix
 from .kraus import KrausChannel, apply_channel
 
 NORM_SLACK = 1e-10
+# Rows formatted per block by `points_to_csv`, bounding its transient lists.
+CSV_BLOCK_ROWS = 4096
 
 
 def bloch_from_dm(rho: DensityMatrix) -> np.ndarray:
@@ -114,17 +117,17 @@ def ellipsoid_samples(affine: BlochAffineMap, n_lat: int, n_lon: int) -> np.ndar
         raise ValueError(f"n_lat must be at least 2 to include both poles, got {n_lat}")
     if n_lon < 2:
         raise ValueError(f"n_lon must be at least 2, got {n_lon}")
-    points = np.empty((n_lat * n_lon, 3), dtype=float)
-    row = 0
-    for i in range(n_lat):
-        colat = math.pi * i / (n_lat - 1)
-        sin_c, cos_c = math.sin(colat), math.cos(colat)
-        for j in range(n_lon):
-            lon = 2.0 * math.pi * j / n_lon
-            v = (sin_c * math.cos(lon), sin_c * math.sin(lon), cos_c)
-            points[row] = affine.apply(v)
-            row += 1
-    return points
+    colat = [math.pi * i / (n_lat - 1) for i in range(n_lat)]
+    lon = [2.0 * math.pi * j / n_lon for j in range(n_lon)]
+    sin_c = np.array([math.sin(a) for a in colat])[:, None]
+    v = np.empty((n_lat, n_lon, 3), dtype=float)
+    v[:, :, 0] = sin_c * np.array([math.cos(a) for a in lon])
+    v[:, :, 1] = sin_c * np.array([math.sin(a) for a in lon])
+    v[:, :, 2] = np.array([math.cos(a) for a in colat])[:, None]
+    # One M @ v per point broadcast over the grid: the same matrix-vector
+    # product as `BlochAffineMap.apply`, so every point keeps its last bit
+    # (a single (N, 3) @ (3, 3) product may round differently).
+    return (affine.m @ v.reshape(-1, 3, 1))[:, :, 0] + affine.c
 
 
 def points_to_csv(points) -> str:
@@ -136,7 +139,8 @@ def points_to_csv(points) -> str:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
-    lines = ["x,y,z"]
-    for x, y, z in pts:
-        lines.append(f"{x:.17g},{y:.17g},{z:.17g}")
-    return "\n".join(lines) + "\n"
+    row = "{:.17g},{:.17g},{:.17g}\n".format
+    blocks = ["x,y,z\n"]
+    for start in range(0, len(pts), CSV_BLOCK_ROWS):
+        blocks.append("".join(starmap(row, pts[start:start + CSV_BLOCK_ROWS].tolist())))
+    return "".join(blocks)

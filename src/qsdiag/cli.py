@@ -6,7 +6,8 @@ Matrices travel as JSON ({"rows", "cols", "re", "im"}), channels as
 in the text format of `qsdiag.diagram`.  Numeric flags accept finite
 decimals or pi-fractions such as "pi/4".  The validation tolerance comes
 from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
-be non-negative.  `ellipsoid --grid` is capped at MAX_GRID_POINTS points.
+be non-negative.  `ellipsoid --grid` needs at least 2x2 and is capped at
+MAX_GRID_POINTS points; other grids are unusable flags (exit 2).
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -124,6 +125,8 @@ def _parse_grid(text: str) -> tuple:
         n_lat, n_lon = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"--grid needs two integers, got {text!r}") from None
+    if n_lat < 2 or n_lon < 2:
+        raise FormatError(f"--grid needs at least 2x2 (both poles, two longitudes), got {text!r}")
     if n_lat * n_lon > MAX_GRID_POINTS:
         raise FormatError(f"--grid {text!r} exceeds the cap of {MAX_GRID_POINTS} points")
     return n_lat, n_lon

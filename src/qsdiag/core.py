@@ -239,12 +239,12 @@ def matrix_from_json_dict(doc) -> np.ndarray:
             f"re/im must each hold rows*cols = {rows * cols} entries, "
             f"got {len(re_part)} and {len(im_part)}"
         )
-    if not all(type(x) in (int, float) for x in re_part + im_part):
+    if not set(map(type, re_part)).union(map(type, im_part)) <= {int, float}:
         raise FormatError("re/im entries must be JSON numbers, not strings, booleans or arrays")
     try:
-        re_arr = np.asarray([float(x) for x in re_part], dtype=float)
-        im_arr = np.asarray([float(x) for x in im_part], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        re_arr = np.array(re_part, dtype=float)
+        im_arr = np.array(im_part, dtype=float)
+    except OverflowError as exc:
         raise FormatError(f"re/im entries must be numbers: {exc}") from None
     if not np.all(np.isfinite(re_arr)) or not np.all(np.isfinite(im_arr)):
         raise FormatError("matrix entries must be finite")

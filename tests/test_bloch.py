@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import affine_oracle, random_density
 from qsdiag import (
@@ -18,6 +21,51 @@ from qsdiag import (
     points_to_csv,
     KrausChannel,
 )
+from qsdiag.bloch import CSV_BLOCK_ROWS
+
+
+def ellipsoid_oracle(affine, n_lat, n_lon):
+    """Point-by-point grid walk through `BlochAffineMap.apply`."""
+    points = np.empty((n_lat * n_lon, 3), dtype=float)
+    row = 0
+    for i in range(n_lat):
+        colat = math.pi * i / (n_lat - 1)
+        sin_c, cos_c = math.sin(colat), math.cos(colat)
+        for j in range(n_lon):
+            lon = 2.0 * math.pi * j / n_lon
+            v = (sin_c * math.cos(lon), sin_c * math.sin(lon), cos_c)
+            points[row] = affine.apply(v)
+            row += 1
+    return points
+
+
+def csv_oracle(points):
+    """One f-string per row."""
+    lines = ["x,y,z"]
+    for x, y, z in np.asarray(points, dtype=float):
+        lines.append(f"{x:.17g},{y:.17g},{z:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_csv(got, want):
+    """Byte equality naming the first differing line (pytest's diff of long texts is slow)."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n"), want.split("\n")))
+        first = next(((i, a, b) for i, (a, b) in pairs if a != b), "none; lengths differ")
+        raise AssertionError(f"CSV texts differ; first differing line: {first}")
+
+
+# Exact zeros of both signs and magnitudes from 1e-300 to 1e3.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-300, 2)),
+)
+
+
+def _random_affine(seed):
+    gen = np.random.default_rng(seed)
+    return BlochAffineMap(gen.normal(size=(3, 3)), gen.normal(size=3))
 
 
 def test_bloch_from_dm_fixed_points():
@@ -155,3 +203,43 @@ def test_points_to_csv_format():
     assert lines[1] == "0,0.5,-1"
     assert lines[2] == "0.33333333333333331,0,0.25"
     assert text.endswith("\n")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(m=st.lists(ENTRIES, min_size=9, max_size=9), c=st.lists(ENTRIES, min_size=3, max_size=3),
+       n_lat=st.integers(2, 40), n_lon=st.integers(2, 40))
+def test_ellipsoid_and_csv_match_scalar_oracles_bit_for_bit(m, c, n_lat, n_lon):
+    affine = BlochAffineMap(np.array(m).reshape(3, 3), np.array(c))
+    pts = ellipsoid_samples(affine, n_lat, n_lon)
+    want = ellipsoid_oracle(affine, n_lat, n_lon)
+    assert np.array_equal(pts, want)
+    # The CSV also pins the sign of every zero ("-0" against "0").
+    assert_same_csv(points_to_csv(pts), csv_oracle(want))
+
+
+@pytest.mark.parametrize("n_lat,n_lon", [(63, 65), (64, 64), (17, 241)])
+def test_csv_block_boundary(n_lat, n_lon):
+    # 4095, 4096 and 4097 rows: one short block, one full block, one row over.
+    assert n_lat * n_lon - CSV_BLOCK_ROWS in (-1, 0, 1)
+    affine = _random_affine(n_lat * n_lon)
+    pts = ellipsoid_samples(affine, n_lat, n_lon)
+    assert np.array_equal(pts, ellipsoid_oracle(affine, n_lat, n_lon))
+    text = points_to_csv(pts)
+    assert_same_csv(text, csv_oracle(pts))
+    assert text.count("\n") == n_lat * n_lon + 1
+
+
+def test_csv_of_no_points_is_the_header():
+    assert points_to_csv(np.empty((0, 3))) == "x,y,z\n"
+
+
+def test_points_to_csv_peak_memory_stays_near_its_output():
+    pts = ellipsoid_samples(_random_affine(200), 200, 400)
+    tracemalloc.start()
+    try:
+        text = points_to_csv(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A list of one string per row would need about 3.9x the output.
+    assert peak < 3 * len(text)

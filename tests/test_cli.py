@@ -153,6 +153,14 @@ def test_ellipsoid_grid_at_cap_is_accepted():
     assert _parse_grid("1000x1000") == (1000, 1000)
 
 
+@pytest.mark.parametrize("grid", ["1x4", "4x1", "0x0", "-3x-3"])
+def test_ellipsoid_grid_below_2x2_is_usage_error(capsys, grid):
+    code, out, err = run(capsys, "ellipsoid", "phase_flip:1", f"--grid={grid}")
+    assert code == 2
+    assert out == ""
+    assert "at least 2x2" in err
+
+
 def test_diagram_text_output(tmp_path, capsys):
     circ = tmp_path / "bell.txt"
     circ.write_text("qubits 2\nh 0\ncx 0 1\n")
@@ -261,6 +269,20 @@ def test_json_strings_are_usage_errors(tmp_path, capsys):
     assert code == 2
     assert "PASS" not in out
     assert "strings" in err
+
+
+@pytest.mark.parametrize("entry", ["1", True, [0], 10 ** 400],
+                         ids=["string", "boolean", "nested-array", "int-beyond-float-range"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_bad_last_entry_of_a_large_matrix_is_usage_error(tmp_path, capsys, part, entry):
+    doc = {"rows": 256, "cols": 256, "re": [0] * 65536, "im": [0] * 65536}
+    doc[part][-1] = entry
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc) + "\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from qsdiag import (
     spectral_decompose,
     validate_density,
 )
-from qsdiag.core import parse_complex
+from qsdiag.core import matrix_from_json_dict, parse_complex
 
 
 def test_pure_state_requires_normalization():
@@ -165,6 +165,31 @@ def test_matrix_json_field_names():
 def test_matrix_json_rejects_malformed(text):
     with pytest.raises(FormatError):
         matrix_from_json(text)
+
+
+@pytest.mark.parametrize("entry", ["1", True, [0.0], 10 ** 400],
+                         ids=["string", "boolean", "nested-array", "int-beyond-float-range"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_matrix_json_rejects_bad_last_entry_of_a_large_matrix(part, entry):
+    doc = {"rows": 256, "cols": 256, "re": [0.0] * 65536, "im": [0] * 65536}
+    doc[part][-1] = entry
+    with pytest.raises(FormatError):
+        matrix_from_json_dict(doc)
+
+
+def test_matrix_json_decodes_like_float_per_entry():
+    gen = np.random.default_rng(12)
+    bits = gen.integers(0, 2 ** 64, size=2 * 4096, dtype=np.uint64).view(np.float64)
+    values = [float(x) for x in bits[np.isfinite(bits)][:2 * 4000]]
+    values[:6] = [-0.0, 0.0, 0, -7, 2 ** 53 + 1, -(10 ** 300)]
+    values[6:200:3] = [int(k) for k in gen.integers(-2 ** 62, 2 ** 62, size=65)]
+    doc = json.loads(json.dumps({"rows": 80, "cols": 50,
+                                 "re": values[:4000], "im": values[4000:]}))
+    got = matrix_from_json_dict(doc)
+    want_re = np.asarray([float(x) for x in doc["re"]], dtype=float)
+    want_im = np.asarray([float(x) for x in doc["im"]], dtype=float)
+    want = (want_re + 1j * want_im).reshape(80, 50)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("text,value", [

@@ -16,22 +16,26 @@ from itertools import starmap
 import numpy as np
 
 from .core import I2, PAULIS, DensityMatrix
-from .kraus import KrausChannel, apply_channel
+from .kraus import COMPLETENESS_TOL, KrausChannel, _check_trace_preserving, _operator_sum
 
 NORM_SLACK = 1e-10
 # Rows formatted per block by `points_to_csv`, bounding its transient lists.
 CSV_BLOCK_ROWS = 4096
 
 
-def bloch_from_dm(rho: DensityMatrix) -> np.ndarray:
-    """Coordinates (X, Y, Z) of a single-qubit density matrix."""
-    if rho.n_qubits != 1:
-        raise ValueError("Bloch coordinates are defined for single-qubit states")
-    m = rho.matrix
+def _bloch_coords(m: np.ndarray) -> np.ndarray:
+    """(X, Y, Z) read off the entries of a 2x2 matrix."""
     return np.array(
         [2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real],
         dtype=float,
     )
+
+
+def bloch_from_dm(rho: DensityMatrix) -> np.ndarray:
+    """Coordinates (X, Y, Z) of a single-qubit density matrix."""
+    if rho.n_qubits != 1:
+        raise ValueError("Bloch coordinates are defined for single-qubit states")
+    return _bloch_coords(rho.matrix)
 
 
 def dm_from_bloch(vector) -> DensityMatrix:
@@ -63,15 +67,16 @@ def affine_map_of_channel(channel: KrausChannel) -> BlochAffineMap:
 
     The translation is the image of the maximally mixed state; column j of M
     is the image of the +j axis state minus the translation.  For any channel
-    that acts affinely on the coordinates this extraction is exact.
+    that acts affinely on the coordinates this extraction is exact.  The
+    channel is checked once; the probes are exact density matrices and pass
+    through the raw operator sum unvalidated.
     """
     if channel.dim != 2:
         raise ValueError("affine extraction is defined for single-qubit channels")
-    center = bloch_from_dm(apply_channel(channel, DensityMatrix(I2 / 2.0)))
-    columns = []
-    for sigma in PAULIS:
-        probe = DensityMatrix((I2 + sigma) / 2.0)
-        columns.append(bloch_from_dm(apply_channel(channel, probe)) - center)
+    _check_trace_preserving(channel, COMPLETENESS_TOL)
+    center = _bloch_coords(_operator_sum(channel, I2 / 2.0))
+    columns = [_bloch_coords(_operator_sum(channel, (I2 + sigma) / 2.0)) - center
+               for sigma in PAULIS]
     return BlochAffineMap(np.column_stack(columns), center)
 
 

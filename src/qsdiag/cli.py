@@ -7,7 +7,9 @@ in the text format of `qsdiag.diagram`.  Numeric flags accept finite
 decimals or pi-fractions such as "pi/4".  The validation tolerance comes
 from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
 be non-negative.  `ellipsoid --grid` needs at least 2x2 and is capped at
-MAX_GRID_POINTS points; other grids are unusable flags (exit 2).
+MAX_GRID_POINTS points; other grids are unusable flags (exit 2).  `trace`
+qubit arguments must name existing qubits and leave at least one untraced;
+other qubit arguments are unusable (exit 2).
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -16,6 +18,7 @@ input, incomplete channel), 2 malformed input or unusable flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +26,7 @@ from pathlib import Path
 
 from .bloch import affine_map_of_channel, ellipsoid_samples, points_to_csv
 from .channels import channel_from_spec, parse_channel_spec
-from .composite import partial_trace
+from .composite import check_traced_qubits, partial_trace
 from .core import (
     DensityMatrix,
     FormatError,
@@ -81,8 +84,7 @@ def cmd_evolve(args) -> tuple:
     channel = channel_from_spec(parse_channel_spec(args.channel))
     if args.steps < 0:
         raise FormatError(f"--steps must be non-negative, got {args.steps}")
-    for _ in range(args.steps):
-        rho = apply_channel(channel, rho, tol=max(tol, 1e-12))
+    rho = apply_channel(channel, rho, tol=max(tol, 1e-12), steps=args.steps)
     return matrix_to_json(rho.matrix) + "\n", 0
 
 
@@ -113,7 +115,11 @@ def cmd_purify(args) -> tuple:
 def cmd_trace(args) -> tuple:
     tol = _resolve_tol(args)
     rho = _load_density(args.rho, tol)
-    reduced = partial_trace(rho, sorted(set(args.qubits)))
+    try:
+        traced = check_traced_qubits(rho.n_qubits, sorted(set(args.qubits)))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    reduced = partial_trace(rho, traced)
     return matrix_to_json(reduced.matrix) + "\n", 0
 
 
@@ -147,7 +153,9 @@ def cmd_diagram(args) -> tuple:
     return render_text(diag), 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every `main` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", default=None,
                         help="tolerance override (decimal or pi-fraction); "
@@ -164,38 +172,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[common],
                        help="check a matrix JSON file for density-matrix validity")
     p.add_argument("file", help="matrix JSON file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("evolve", parents=[common],
                        help="apply a channel to a density matrix")
     p.add_argument("rho", help="density matrix JSON file")
     p.add_argument("channel", help="channel spec, e.g. phase_flip:pi/2")
     p.add_argument("--steps", type=int, default=1, help="number of applications")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("purify", parents=[common],
                        help="purify a single-qubit density matrix")
     p.add_argument("rho", help="density matrix JSON file")
-    p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("trace", parents=[common],
                        help="trace out the given qubits of a density matrix")
     p.add_argument("rho", help="density matrix JSON file")
     p.add_argument("qubits", type=int, nargs="+", help="qubit indices to trace out")
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("ellipsoid", parents=[common],
                        help="sample the Bloch-sphere image of a channel as CSV")
     p.add_argument("channel", help="channel spec, e.g. amp_damp_z_plus:pi/4")
     p.add_argument("--grid", default="12x24", help="latitude x longitude grid (default 12x24)")
-    p.set_defaults(func=cmd_ellipsoid)
 
     p = sub.add_parser("diagram", parents=[common],
                        help="render the diagram of states of a circuit file")
     p.add_argument("circuit", help="circuit text file")
     p.add_argument("--mode", choices=["complete", "simplified"], default="complete")
     p.add_argument("--format", choices=["text", "svg"], default="text")
-    p.set_defaults(func=cmd_diagram)
     return parser
 
 
@@ -206,7 +208,9 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        text, code = args.func(args)
+        # Looked up by name on each call, not bound into the cached parser, so a
+        # replaced module attribute (a tracing wrapper, a test double) takes effect.
+        text, code = globals()[f"cmd_{args.command}"](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

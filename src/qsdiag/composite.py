@@ -32,6 +32,16 @@ def check_qubit_subset(n_qubits: int, indices: Sequence[int], *, name: str = "qu
     return idx
 
 
+def check_traced_qubits(n_qubits: int, traced: Sequence[int]):
+    """Validate the qubits `partial_trace` removes: a non-empty subset that keeps one."""
+    traced_t = check_qubit_subset(n_qubits, traced, name="traced qubits")
+    if not traced_t:
+        raise ValueError("traced qubit set must be non-empty")
+    if len(traced_t) == n_qubits:
+        raise ValueError("cannot trace out every qubit of the register")
+    return traced_t
+
+
 @lru_cache(maxsize=256)
 def _scatter_table(positions: tuple[int, ...]) -> np.ndarray:
     """Table T with T[v] = v's bits spread onto the given bit positions.
@@ -58,11 +68,7 @@ def partial_trace(rho: DensityMatrix, traced: Sequence[int]) -> DensityMatrix:
     (the result would be the scalar 1, not a density matrix).
     """
     n = rho.n_qubits
-    traced_t = check_qubit_subset(n, traced, name="traced qubits")
-    if not traced_t:
-        raise ValueError("traced qubit set must be non-empty")
-    if len(traced_t) == n:
-        raise ValueError("cannot trace out every qubit of the register")
+    traced_t = check_traced_qubits(n, traced)
     kept = tuple(q for q in range(n) if q not in traced_t)
     kept_table = _scatter_table(kept)
     traced_table = _scatter_table(traced_t)

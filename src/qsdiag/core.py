@@ -7,6 +7,11 @@ Circuits are the exception: `qsdiag.diagram` applies each small gate to
 2^n x 2^n immersed unitary.  This module holds the two value types
 (`PureState`, `DensityMatrix`), the spectral / validation helpers, and
 the JSON wire form used by the CLI.
+
+Constructing a `DensityMatrix` validates it (one eigendecomposition), so
+the package builds them at its boundaries only: input matrices and final
+results.  Intermediate states, such as the steps of a repeated channel
+application, stay plain arrays.
 """
 
 from __future__ import annotations

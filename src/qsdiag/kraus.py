@@ -7,6 +7,10 @@ identity.  For single-qubit channels with at most two operators the
 channel embeds into a two-qubit unitary with one ancilla qubit on the
 most significant position, and conversely the operators can be read off
 any such unitary by taking blocks against an environment state.
+
+Validation happens at the boundaries: `apply_channel` checks the channel's
+completeness once per call, iterates the operator sum on plain arrays and
+validates only the final state as a `DensityMatrix`.
 """
 
 from __future__ import annotations
@@ -83,18 +87,36 @@ def _check_trace_preserving(channel: KrausChannel, tol: float) -> float:
     return defect
 
 
+def _operator_sum(channel: KrausChannel, m: np.ndarray, steps: int = 1) -> np.ndarray:
+    """Iterate m -> sum_i F_i m F_i^dagger `steps` times on raw arrays (no checks)."""
+    pairs = [(op, op.conj().T) for op in channel.operators]
+    for _ in range(steps):
+        out = np.zeros_like(m)
+        for op, adj in pairs:
+            out += op @ m @ adj
+        m = out
+    return m
+
+
 def apply_channel(channel: KrausChannel, rho: DensityMatrix,
-                  tol: float = COMPLETENESS_TOL) -> DensityMatrix:
-    """Evolve `rho` through the channel: rho' = sum_i F_i rho F_i^dagger."""
+                  tol: float = COMPLETENESS_TOL, steps: int = 1) -> DensityMatrix:
+    """Evolve `rho` through the channel `steps` times: rho' = sum_i F_i rho F_i^dagger.
+
+    The channel is checked once and only the final state is validated, so
+    the result equals `steps` successive single applications bit for bit;
+    `steps=0` returns `rho` itself.
+    """
     if channel.dim != rho.dim:
         raise ValueError(
             f"channel dimension {channel.dim} does not match state dimension {rho.dim}"
         )
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     defect = _check_trace_preserving(channel, tol)
-    out = np.zeros_like(rho.matrix)
-    for op in channel.operators:
-        out += op @ rho.matrix @ op.conj().T
-    return DensityMatrix(out, atol=max(1e-10, 10 * defect))
+    if steps == 0:
+        return rho
+    return DensityMatrix(_operator_sum(channel, rho.matrix, steps),
+                         atol=max(1e-10, 10 * defect))
 
 
 def prune_operators(operators, tol: float = PRUNE_TOL):

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import affine_oracle, random_density
 from qsdiag import (
+    CHANNEL_KINDS,
     BlochAffineMap,
+    ChannelSpec,
     DensityMatrix,
     affine_map_of_channel,
+    apply_channel,
     bloch_from_dm,
+    channel_from_spec,
     decompose_map,
     dm_from_bloch,
     ellipsoid_samples,
@@ -22,6 +26,7 @@ from qsdiag import (
     KrausChannel,
 )
 from qsdiag.bloch import CSV_BLOCK_ROWS
+from qsdiag.core import I2, PAULIS
 
 
 def ellipsoid_oracle(affine, n_lat, n_lon):
@@ -109,6 +114,43 @@ def test_affine_map_exactness_on_random_states():
                 evolved = sum(f @ rho.matrix @ f.conj().T for f in ch.operators)
                 rhs = bloch_from_dm(DensityMatrix(evolved))
                 assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def validated_probing_oracle(channel):
+    """(M, c) from four `apply_channel` calls on validated DensityMatrix probes."""
+    center = bloch_from_dm(apply_channel(channel, DensityMatrix(I2 / 2.0)))
+    columns = [bloch_from_dm(apply_channel(channel, DensityMatrix((I2 + sigma) / 2.0))) - center
+               for sigma in PAULIS]
+    return np.column_stack(columns), center
+
+
+def _probe_channels():
+    for kind in sorted(CHANNEL_KINDS):
+        for theta in np.linspace(0.0, math.pi, 9):
+            if kind == "depolarizing_general":
+                env = np.random.default_rng(int(theta * 100)).normal(size=4)
+                yield channel_from_spec(ChannelSpec(kind, 0.0, tuple(env / np.linalg.norm(env))))
+            else:
+                yield channel_from_spec(ChannelSpec(kind, float(theta)))
+    gen = np.random.default_rng(64)
+    for n_ops in (1, 2, 3, 4):
+        for _ in range(5):
+            g = gen.normal(size=(2 * n_ops, 2)) + 1j * gen.normal(size=(2 * n_ops, 2))
+            q = np.linalg.qr(g)[0]
+            yield KrausChannel(tuple(q[2 * i:2 * i + 2] for i in range(n_ops)))
+
+
+def test_affine_map_equals_validated_probing_bit_for_bit():
+    for ch in _probe_channels():
+        m, c = validated_probing_oracle(ch)
+        affine = affine_map_of_channel(ch)
+        assert np.array_equal(affine.m, m)
+        assert np.array_equal(affine.c, c)
+
+
+def test_affine_map_rejects_incomplete_channel():
+    with pytest.raises(ValueError, match="not trace preserving"):
+        affine_map_of_channel(KrausChannel((np.eye(2) / 2,)))
 
 
 def test_image_stays_in_unit_ball():

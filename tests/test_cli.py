@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+import qsdiag.cli
+import qsdiag.core
+import qsdiag.kraus
 from qsdiag import matrix_from_json, matrix_to_json
-from qsdiag.cli import _parse_grid, main
+from qsdiag.cli import _build_parser, _parse_grid, main
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 
@@ -123,6 +126,48 @@ def test_trace_reduces_register(tmp_path, capsys):
     reduced = matrix_from_json(out)
     assert reduced.shape == (2, 2)
     assert np.abs(reduced - (m[:2, :2] + m[2:, 2:])).max() < 1e-12
+
+
+@pytest.mark.parametrize("qubit, message", [
+    ("5", "traced qubits (5,) out of range for 1 qubit(s)"),
+    ("-1", "traced qubits (-1,) out of range for 1 qubit(s)"),
+    ("0", "cannot trace out every qubit"),
+])
+def test_trace_unusable_qubit_is_usage_error(rho_file, capsys, qubit, message):
+    code, out, err = run(capsys, "trace", rho_file, qubit)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_evolve_validates_at_the_boundaries_only(rho_file, capsys, monkeypatch):
+    """One channel check and two density checks (input, result) for 80 steps."""
+    calls = {"density": 0, "channel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qsdiag.core, "validate_density",
+                        counted("density", qsdiag.core.validate_density))
+    monkeypatch.setattr(qsdiag.kraus, "validate_channel",
+                        counted("channel", qsdiag.kraus.validate_channel))
+    code, out, _ = run(capsys, "evolve", rho_file, "amp_damp_y_minus:pi/3", "--steps", "80")
+    assert code == 0 and out
+    assert calls["density"] <= 2
+    assert calls["channel"] == 1
+    calls.update(density=0, channel=0)
+    code, out, _ = run(capsys, "ellipsoid", "depolarizing_standard:0.4", "--grid", "3x4")
+    assert code == 0 and out
+    assert calls == {"density": 0, "channel": 1}
+
+
+def test_evolve_zero_steps_prints_the_input(rho_file, capsys):
+    code, out, _ = run(capsys, "evolve", rho_file, "amp_damp_z_plus:pi/2", "--steps", "0")
+    assert code == 0
+    assert out == matrix_to_json(MIXED) + "\n"
 
 
 def test_ellipsoid_csv_shape(capsys):
@@ -314,3 +359,36 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "lines: 2" in proc.stdout
+
+
+def _fresh(capsys, *argv):
+    _build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("first, first_code, second, second_code", [
+    (["validate", "NEAR", "--tol", "1e-3"], 0, ["validate", "NEAR"], 1),
+    (["evolve", "NEAR"], 2, ["validate", "RHO"], 0),
+    (["--help"], 0, ["validate", "RHO"], 0),
+], ids=["tol-then-default", "usage-error-then-valid", "help-then-valid"])
+def test_reused_parser_matches_a_fresh_one(tmp_path, rho_file, capsys, monkeypatch,
+                                            first, first_code, second, second_code):
+    """A call on the process-wide parser equals one on a newly built parser."""
+    monkeypatch.delenv("QSDIAG_TOL", raising=False)
+    near = tmp_path / "near.json"
+    near.write_text(matrix_to_json(np.diag([0.5 + 4e-7, 0.5 - 5e-7])) + "\n")
+    paths = {"NEAR": str(near), "RHO": rho_file}
+    first = [paths.get(a, a) for a in first]
+    second = [paths.get(a, a) for a in second]
+    first_result = _fresh(capsys, *first)
+    reused = run(capsys, *second)
+    assert reused == _fresh(capsys, *second)
+    assert (first_result[0], reused[0]) == (first_code, second_code)
+    assert first_result == _fresh(capsys, *first)
+
+
+def test_subcommand_is_looked_up_on_each_call(rho_file, capsys, monkeypatch):
+    """A replaced `cmd_*` attribute takes effect after the parser is cached."""
+    assert run(capsys, "purify", rho_file)[0] == 0
+    monkeypatch.setattr(qsdiag.cli, "cmd_purify", lambda args: ("replaced\n", 0))
+    assert run(capsys, "purify", rho_file) == (0, "replaced\n", "")

@@ -11,10 +11,13 @@ from helpers import (
     random_unitary,
 )
 from qsdiag import (
+    CHANNEL_KINDS,
+    ChannelSpec,
     KrausChannel,
     PureState,
     apply_channel,
     channel_from_json_dict,
+    channel_from_spec,
     channel_to_json_dict,
     channel_with_ancilla,
     dilate_single_ancilla,
@@ -79,6 +82,33 @@ def test_apply_preserves_trace_and_hermiticity():
         out = apply_channel(ch, rho).matrix
         assert abs(out.trace() - 1.0) < 1e-12
         assert np.abs(out - out.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 80])
+@pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+def test_steps_equal_successive_single_applications(kind, steps):
+    gen = np.random.default_rng(49)
+    env = (0.1, 0.7, 0.1j, math.sqrt(0.49))
+    spec = (ChannelSpec(kind, 0.0, env) if kind == "depolarizing_general"
+            else ChannelSpec(kind, 1.3))
+    ch = channel_from_spec(spec)
+    rho = random_density(gen)
+    single = rho
+    for _ in range(steps):
+        single = apply_channel(ch, single)
+    assert np.array_equal(apply_channel(ch, rho, steps=steps).matrix, single.matrix)
+
+
+def test_apply_rejects_negative_steps():
+    gen = np.random.default_rng(50)
+    with pytest.raises(ValueError, match="non-negative"):
+        apply_channel(KrausChannel((np.eye(2),)), random_density(gen), steps=-1)
+
+
+def test_apply_checks_the_channel_even_for_zero_steps():
+    gen = np.random.default_rng(51)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        apply_channel(KrausChannel((np.eye(2) / 2,)), random_density(gen), steps=0)
 
 
 def test_kraus_from_identity_unitary():

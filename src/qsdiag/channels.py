@@ -211,7 +211,8 @@ def _normalized_env(env_amplitudes) -> tuple:
     amps = tuple(complex(a) for a in env_amplitudes)
     if len(amps) != 4:
         raise ValueError(f"expected 4 environment amplitudes, got {len(amps)}")
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    # hypot scales internally, so huge amplitudes give a finite norm that fails below.
+    norm = math.hypot(*(part for a in amps for part in (a.real, a.imag)))
     if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN
         raise ValueError(f"environment amplitudes are not normalized: |v| = {norm!r}")
     return amps

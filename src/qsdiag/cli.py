@@ -9,7 +9,10 @@ from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
 be non-negative.  `ellipsoid --grid` needs at least 2x2 and is capped at
 MAX_GRID_POINTS points; other grids are unusable flags (exit 2).  `trace`
 qubit arguments must name existing qubits and leave at least one untraced;
-other qubit arguments are unusable (exit 2).
+other qubit arguments are unusable (exit 2).  `evolve --steps` is capped at
+MAX_STEPS, and its channel must act on the state's dimension (exit 2).
+Input files are read as UTF-8; other bytes are malformed input (exit 2), as
+are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES`.
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -43,6 +46,8 @@ from .purify import purify_single_qubit
 DEFAULT_TOL = 1e-10
 # Largest LATxLON product `ellipsoid --grid` accepts (the points are held in memory).
 MAX_GRID_POINTS = 1_000_000
+# Largest `evolve --steps`: about 2 s at the ~17 us a one-qubit step takes.
+MAX_STEPS = 100_000
 
 
 def _resolve_tol(args) -> float:
@@ -55,8 +60,15 @@ def _resolve_tol(args) -> float:
     return tol
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_matrix(path: str):
-    return matrix_from_json(Path(path).read_text())
+    return matrix_from_json(_read_text(path))
 
 
 def _load_density(path: str, tol: float) -> DensityMatrix:
@@ -82,8 +94,11 @@ def cmd_evolve(args) -> tuple:
     tol = _resolve_tol(args)
     rho = _load_density(args.rho, tol)
     channel = channel_from_spec(parse_channel_spec(args.channel))
-    if args.steps < 0:
-        raise FormatError(f"--steps must be non-negative, got {args.steps}")
+    if not 0 <= args.steps <= MAX_STEPS:
+        raise FormatError(f"--steps must be in 0..{MAX_STEPS}, got {args.steps}")
+    if channel.dim != rho.dim:
+        raise FormatError(
+            f"channel dimension {channel.dim} does not match state dimension {rho.dim}")
     rho = apply_channel(channel, rho, tol=max(tol, 1e-12), steps=args.steps)
     return matrix_to_json(rho.matrix) + "\n", 0
 
@@ -146,7 +161,7 @@ def cmd_ellipsoid(args) -> tuple:
 
 
 def cmd_diagram(args) -> tuple:
-    circuit = parse_circuit(Path(args.circuit).read_text())
+    circuit = parse_circuit(_read_text(args.circuit))
     diag = build_diagram(circuit, mode=args.mode)
     if args.format == "svg":
         return render_svg(diag), 0

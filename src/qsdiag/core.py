@@ -266,6 +266,8 @@ def matrix_from_json(text: str) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     return matrix_from_json_dict(doc)
 
 

@@ -12,7 +12,11 @@ Diagrams and simulation are built gate-locally: the immersed unitary is
 the 2^k x 2^k gate on its targets and the identity elsewhere, so its
 edges, and the next state vector, follow from the gate's own non-null
 entries and two bit-scatter tables.  The dense 2^n x 2^n immersion
-(`qsdiag.composite.immerse_gate`) is never built.
+(`qsdiag.composite.immerse_gate`) is never built.  A diagram keeps these
+arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
+(its `edges` property derives tuples) and each boundary's `LineActivity` a
+bool `active` array and the complex `amplitudes` array.  The renderers read
+them directly and format each line's y and each boundary's x once.
 
 Circuit text format, one statement per line, `#` starts a comment:
 
@@ -31,10 +35,10 @@ amplitude list for `input` is renormalized (rejected if off by > 1e-6).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -53,6 +57,8 @@ from .core import (
 
 # Entries below this magnitude do not produce diagram edges.
 EDGE_TOL = 1e-12
+# Most complete-mode edges a parsed circuit may have (an SVG takes about 1 kB per edge).
+MAX_DIAGRAM_EDGES = 262_144
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -259,6 +265,7 @@ def parse_circuit(text: str) -> Circuit:
     input_amps = None
     input_seen = False
     gates = []
+    n_edges = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
         stripped = code.strip()
@@ -348,9 +355,16 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError:
                 raise CircuitParseError(f"invalid qubit argument {tok!r}", lineno, col) from None
         try:
-            gates.append(build_gate(name, params, qubits, n_qubits, matrix=literal))
+            gate = build_gate(name, params, qubits, n_qubits, matrix=literal)
         except ValueError as exc:
             raise CircuitParseError(str(exc), lineno, col) from None
+        # Complete-mode edges: each non-null entry once per setting of the other qubits.
+        n_edges += (np.count_nonzero(np.abs(gate.matrix) > EDGE_TOL)
+                    << (n_qubits - len(gate.targets)))
+        if n_edges > MAX_DIAGRAM_EDGES:
+            raise CircuitParseError(
+                f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges", lineno, col)
+        gates.append(gate)
 
     if n_qubits is None:
         raise CircuitParseError("circuit has no 'qubits' directive", 1, 1)
@@ -398,23 +412,31 @@ def simulate(circuit: Circuit) -> PureState:
     return PureState(psi, atol=1e-9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagramLayer:
-    """Edges contributed by one gate: (source line, destination line, amplitude)."""
+    """One gate's edges, sorted by (src, dst): edge e runs from line src[e] to dst[e]
+    and carries amplitude amp[e]."""
 
     label: str
-    edges: tuple
+    src: np.ndarray
+    dst: np.ndarray
+    amp: np.ndarray
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as (source line, destination line, amplitude) tuples."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.amp.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineActivity:
-    """Per-line activity flags and carried amplitudes at one layer boundary."""
+    """Per-line activity (bool array) and carried amplitudes at one layer boundary."""
 
-    active: tuple
-    amplitudes: tuple
+    active: np.ndarray
+    amplitudes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateDiagram:
     n_qubits: int
     mode: str
@@ -439,7 +461,7 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
         raise ValueError(f"mode must be 'complete' or 'simplified', got {mode!r}")
     psi = circuit.input_state.amplitudes.copy()
     active = np.abs(psi) > EDGE_TOL
-    boundaries = [LineActivity(tuple(active.tolist()), tuple(psi.tolist()))]
+    boundaries = [LineActivity(active, psi)]
     layers = []
     for gate in circuit.gates:
         src, dst, amp = _gate_edges(gate, circuit.n_qubits)
@@ -449,9 +471,8 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
         active[dst[reached]] = True
         if mode == "simplified":
             src, dst, amp = src[reached], dst[reached], amp[reached]
-        edges = tuple(zip(src.tolist(), dst.tolist(), amp.tolist()))
-        layers.append(DiagramLayer(gate.label, edges))
-        boundaries.append(LineActivity(tuple(active.tolist()), tuple(psi.tolist())))
+        layers.append(DiagramLayer(gate.label, src, dst, amp))
+        boundaries.append(LineActivity(active, psi))
     return StateDiagram(circuit.n_qubits, mode, tuple(layers), tuple(boundaries))
 
 
@@ -459,6 +480,11 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
 # Renderers
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+@functools.lru_cache(maxsize=4096)  # a layer repeats each gate entry 2^(n-k) times
 def _fmt_amp(z: complex) -> str:
     re_part = z.real if z.real != 0 else 0.0
     im_part = z.imag if z.imag != 0 else 0.0
@@ -471,8 +497,8 @@ def _fmt_amp(z: complex) -> str:
 
 def _input_label(diagram: StateDiagram) -> str:
     amps = diagram.boundaries[0].amplitudes
-    hot = [i for i, a in enumerate(amps) if abs(a) > EDGE_TOL]
-    if len(hot) == 1 and abs(amps[hot[0]] - 1.0) < 1e-9:
+    hot = np.flatnonzero(np.abs(amps) > EDGE_TOL)
+    if hot.size == 1 and abs(amps[hot[0]] - 1.0) < 1e-9:
         return f"|{hot[0]:0{diagram.n_qubits}b}>"
     return "custom"
 
@@ -494,25 +520,27 @@ def render_text(diagram: StateDiagram) -> str:
         f"input: {_input_label(diagram)}",
         "",
     ]
-    touched = [{line for edge in layer.edges for line in edge[:2]} for layer in diagram.layers]
+    actives = [b.active.tolist() for b in diagram.boundaries]
+    edges = [layer.edges for layer in diagram.layers]
+    touched = [{line for edge in layer_edges for line in edge[:2]} for layer_edges in edges]
+    cells = [f"[{t + 1:>{dw}}]" for t in range(n_layers)]
+    blank = "[" + " " * dw + "]"
     for i in range(n_lines):
         row = [f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> "]
         for t in range(n_layers):
-            row.append("====" if diagram.boundaries[t].active[i] else "----")
-            row.append(f"[{t + 1:>{dw}}]" if i in touched[t] else "[" + " " * dw + "]")
-        row.append("====" if diagram.boundaries[n_layers].active[i] else "----")
+            row.append("====" if actives[t][i] else "----")
+            row.append(cells[t] if i in touched[t] else blank)
+        row.append("====" if actives[n_layers][i] else "----")
         out.append("".join(row))
     for t, layer in enumerate(diagram.layers):
         out.append("")
         out.append(f"[{t + 1}] {layer.label}")
-        for src, dst, amp in layer.edges:
-            out.append(f"    {src} -> {dst}  {_fmt_amp(amp)}")
+        out.extend(f"    {src} -> {dst}  {_fmt_amp(amp)}" for src, dst, amp in edges[t])
     out.append("")
     out.append("output amplitudes:")
-    final = diagram.boundaries[-1]
-    for i, amp in enumerate(final.amplitudes):
-        if abs(amp) > EDGE_TOL:
-            out.append(f"    {i}  {_fmt_amp(amp)}")
+    final = diagram.boundaries[-1].amplitudes
+    for i in np.flatnonzero(np.abs(final) > EDGE_TOL).tolist():
+        out.append(f"    {i}  {_fmt_amp(complex(final[i]))}")
     out.append("")
     return "\n".join(out)
 
@@ -531,6 +559,12 @@ _ACTIVE_COLOR = "#16324f"
 _DORMANT_COLOR = "#b6c2cc"
 _LABEL_COLOR = "#5b6770"
 
+# Stroke attributes indexed by activity: [dormant, active].
+_STROKES = (f'stroke="{_DORMANT_COLOR}" stroke-width="{_THIN}"',
+            f'stroke="{_ACTIVE_COLOR}" stroke-width="{_THICK}"')
+_TEXT_ATTRS = f'font-family="monospace" font-size="{_FONT_SIZE}" fill="{_LABEL_COLOR}"'
+_AMP_ATTRS = f'font-family="monospace" font-size="{_FONT_SIZE - 2}" fill="{_LABEL_COLOR}"'
+
 
 def render_svg(diagram: StateDiagram) -> str:
     """SVG 1.1 rendering: horizontal basis lines, one column per layer.
@@ -540,77 +574,48 @@ def render_svg(diagram: StateDiagram) -> str:
     """
     n_lines = diagram.n_lines
     n_layers = len(diagram.layers)
-    width = 2 * _MARGIN_X + n_layers * _LAYER_WIDTH + _WIRE_WIDTH
-    height = _MARGIN_Y + (n_lines - 1) * _LINE_PITCH + 40.0
-
-    def x_boundary(t: int) -> float:
-        return _MARGIN_X + t * _LAYER_WIDTH
-
-    def y_line(i: int) -> float:
-        return _MARGIN_Y + i * _LINE_PITCH
-
-    def f(v: float) -> str:
-        return f"{v:.1f}"
+    width = f"{2 * _MARGIN_X + n_layers * _LAYER_WIDTH + _WIRE_WIDTH:.1f}"
+    height = f"{_MARGIN_Y + (n_lines - 1) * _LINE_PITCH + 40.0:.1f}"
+    y = _MARGIN_Y + np.arange(n_lines) * _LINE_PITCH
+    ys = [f"{v:.1f}" for v in y.tolist()]
+    # x of each boundary's wire stub start and end, formatted once per boundary.
+    xb = [_MARGIN_X + t * _LAYER_WIDTH for t in range(n_layers + 1)]
+    xs = [f"{x:.1f}" for x in xb]
+    xw = [f"{x + _WIRE_WIDTH:.1f}" for x in xb]
 
     title = (f"{diagram.n_qubits} qubit(s), {n_layers} layer(s), {diagram.mode}, "
              f"input {_input_label(diagram)}")
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{f(width)}" height="{f(height)}" '
-        f'viewBox="0 0 {f(width)} {f(height)}">',
-        f'<rect x="0" y="0" width="{f(width)}" height="{f(height)}" fill="#ffffff"/>',
-        f'<text x="{f(_MARGIN_X)}" y="20" font-family="monospace" '
-        f'font-size="{_FONT_SIZE + 2}" fill="{_ACTIVE_COLOR}">{escape(title)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<text x="{_MARGIN_X:.1f}" y="20" font-family="monospace" '
+        f'font-size="{_FONT_SIZE + 2}" fill="{_ACTIVE_COLOR}">{_escape(title)}</text>',
     ]
-    for i in range(n_lines):
-        parts.append(
-            f'<text x="{f(_MARGIN_X - 58.0)}" y="{f(y_line(i) + 4.0)}" '
-            f'font-family="monospace" font-size="{_FONT_SIZE}" '
-            f'fill="{_LABEL_COLOR}">{escape(f"{i} |{i:0{diagram.n_qubits}b}>")}</text>'
-        )
+    label_x = f"{_MARGIN_X - 58.0:.1f}"
+    parts.extend(f'<text x="{label_x}" y="{v + 4.0:.1f}" {_TEXT_ATTRS}>'
+                 f'{i} |{i:0{diagram.n_qubits}b}&gt;</text>' for i, v in enumerate(y.tolist()))
     # Boundary wire stubs.
-    for t in range(n_layers + 1):
-        x0 = x_boundary(t)
-        for i in range(n_lines):
-            active = diagram.boundaries[t].active[i]
-            parts.append(
-                f'<line x1="{f(x0)}" y1="{f(y_line(i))}" x2="{f(x0 + _WIRE_WIDTH)}" '
-                f'y2="{f(y_line(i))}" stroke="{_ACTIVE_COLOR if active else _DORMANT_COLOR}" '
-                f'stroke-width="{_THICK if active else _THIN}"/>'
-            )
+    for t, boundary in enumerate(diagram.boundaries):
+        x_start, x_end = xs[t], xw[t]
+        parts.extend(f'<line x1="{x_start}" y1="{yi}" x2="{x_end}" y2="{yi}" {_STROKES[on]}/>'
+                     for yi, on in zip(ys, boundary.active.tolist()))
     # Gate zones.
     for t, layer in enumerate(diagram.layers):
-        x0 = x_boundary(t) + _WIRE_WIDTH
-        x1 = x_boundary(t + 1)
-        label_x = (x0 + x1) / 2.0
-        parts.append(
-            f'<text x="{f(label_x)}" y="{f(_MARGIN_Y - 18.0)}" text-anchor="middle" '
-            f'font-family="monospace" font-size="{_FONT_SIZE}" '
-            f'fill="{_LABEL_COLOR}">{escape(layer.label)}</text>'
-        )
-        has_out = [False] * n_lines
-        for src, dst, amp in layer.edges:
-            has_out[src] = True
-            active = diagram.boundaries[t].active[src]
-            color = _ACTIVE_COLOR if active else _DORMANT_COLOR
-            stroke = _THICK if active else _THIN
-            y0, y1 = y_line(src), y_line(dst)
-            parts.append(
-                f'<line x1="{f(x0)}" y1="{f(y0)}" x2="{f(x1)}" y2="{f(y1)}" '
-                f'stroke="{color}" stroke-width="{stroke}"/>'
-            )
-            lx = x0 + 0.38 * (x1 - x0)
-            ly = y0 + 0.38 * (y1 - y0) - 4.0
-            parts.append(
-                f'<text x="{f(lx)}" y="{f(ly)}" font-family="monospace" '
-                f'font-size="{_FONT_SIZE - 2}" fill="{_LABEL_COLOR}">'
-                f'{escape(_fmt_amp(amp))}</text>'
-            )
+        x0, x1 = xb[t] + _WIRE_WIDTH, xb[t + 1]
+        parts.append(f'<text x="{(x0 + x1) / 2.0:.1f}" y="{_MARGIN_Y - 18.0:.1f}" '
+                     f'text-anchor="middle" {_TEXT_ATTRS}>{_escape(layer.label)}</text>')
+        ex0, ex1, lx = xw[t], xs[t + 1], f"{x0 + 0.38 * (x1 - x0):.1f}"
+        y0, y1 = y[layer.src], y[layer.dst]
+        label_y = (y0 + 0.38 * (y1 - y0) - 4.0).tolist()
+        strokes = diagram.boundaries[t].active[layer.src].tolist()
+        for (s, d, a), ly, on in zip(layer.edges, label_y, strokes):
+            parts.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" {_STROKES[on]}/>')
+            parts.append(f'<text x="{lx}" y="{ly:.1f}" {_AMP_ATTRS}>{_fmt_amp(a)}</text>')
         # Dormant lines whose edges were pruned still continue, thin.
-        for i in range(n_lines):
-            if not has_out[i]:
-                parts.append(
-                    f'<line x1="{f(x0)}" y1="{f(y_line(i))}" x2="{f(x1)}" y2="{f(y_line(i))}" '
-                    f'stroke="{_DORMANT_COLOR}" stroke-width="{_THIN}"/>'
-                )
+        has_out = np.zeros(n_lines, dtype=bool)
+        has_out[layer.src] = True
+        parts.extend(f'<line x1="{ex0}" y1="{ys[i]}" x2="{ex1}" y2="{ys[i]}" {_STROKES[False]}/>'
+                     for i in np.flatnonzero(~has_out).tolist())
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,7 +10,8 @@ import qsdiag.cli
 import qsdiag.core
 import qsdiag.kraus
 from qsdiag import matrix_from_json, matrix_to_json
-from qsdiag.cli import _build_parser, _parse_grid, main
+from qsdiag.cli import MAX_STEPS, _build_parser, _parse_grid, main
+from qsdiag.diagram import MAX_DIAGRAM_EDGES
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 
@@ -100,6 +101,72 @@ def test_evolve_rejects_nonphysical_input(tmp_path, capsys):
     code, _, err = run(capsys, "evolve", str(bad), "phase_flip:0.5")
     assert code == 1
     assert "error:" in err
+
+
+def one_usage_error(code, out, err):
+    return code == 2 and out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, name, payload", [
+    ("validate", "latin1.json", b'{"rows": 1, "cols": 1, "re": [1], "im": [0]}\xff'),
+    ("diagram", "latin1.qs", b"qubits 1\n# caf\xe9\nx 0\n"),
+    ("validate", "deep.json", b"[" * 100_000),
+], ids=["json-not-utf8", "circuit-not-utf8", "json-nested-too-deep"])
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command, name, payload):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    assert one_usage_error(*run(capsys, command, str(path)))
+
+
+def test_evolve_channel_of_other_dimension_is_usage_error(tmp_path, capsys):
+    two_qubits = tmp_path / "rho2.json"
+    two_qubits.write_text(matrix_to_json(np.eye(4) / 4) + "\n")
+    code, out, err = run(capsys, "evolve", str(two_qubits), "phase_flip:1")
+    assert one_usage_error(code, out, err)
+    assert "channel dimension 2 does not match state dimension 4" in err
+
+
+def test_evolve_huge_environment_amplitude_is_usage_error(rho_file, capsys):
+    code, out, err = run(capsys, "evolve", rho_file, "depolarizing_general:0:1e308,1,1,1")
+    assert one_usage_error(code, out, err)
+    assert "not normalized" in err
+
+
+def test_evolve_steps_are_capped(rho_file, capsys):
+    code, out, err = run(capsys, "evolve", rho_file, "phase_flip:1", "--steps", str(MAX_STEPS + 1))
+    assert one_usage_error(code, out, err)
+    assert f"--steps must be in 0..{MAX_STEPS}" in err
+
+
+def test_evolve_steps_at_cap_are_accepted(rho_file, capsys, monkeypatch):
+    calls = []
+
+    def record(channel, rho, tol, steps):
+        calls.append(steps)
+        return rho
+
+    monkeypatch.setattr(qsdiag.cli, "apply_channel", record)
+    code, out, _ = run(capsys, "evolve", rho_file, "phase_flip:1", "--steps", str(MAX_STEPS))
+    assert (code, calls) == (0, [MAX_STEPS])
+    assert np.array_equal(matrix_from_json(out), MIXED)
+
+
+def test_diagram_over_edge_cap_is_usage_error(tmp_path, capsys):
+    circuit = tmp_path / "big.qs"
+    # Each h on 10 qubits adds 2 x 2 x 2^9 = 2048 edges.
+    circuit.write_text("qubits 10\n" + "h 0\n" * (MAX_DIAGRAM_EDGES // 2048 + 1))
+    code, out, err = run(capsys, "diagram", str(circuit))
+    assert one_usage_error(code, out, err)
+    assert f"line {MAX_DIAGRAM_EDGES // 2048 + 2}," in err
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    """Start-up stays free of `xml.sax.saxutils`, which imports urllib.request,
+    http, email and ssl.  Bare `urllib` is not checked: pathlib imports urllib.parse."""
+    probe = ("import sys, qsdiag.cli; print(sorted(m for m in "
+             "('xml', 'http', 'email', 'ssl', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_purify_reports_state_and_angles(rho_file, capsys):

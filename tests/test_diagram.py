@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from qsdiag import (
     simulate,
     synthesize_purification_circuit,
 )
-from qsdiag.diagram import EDGE_TOL
+from qsdiag.diagram import EDGE_TOL, MAX_DIAGRAM_EDGES
 
 SQ2 = 1.0 / math.sqrt(2.0)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def active_set(boundary):
@@ -336,6 +338,17 @@ def test_custom_input_marks_support_lines():
     assert active_set(diag.boundaries[0]) == support(circ.input_state)
 
 
+def test_edge_cap_admits_its_value_and_names_the_crossing_line():
+    # On 10 qubits each h adds 2 x 2 x 2^9 = 2048 complete-mode edges, z and x 1024 each.
+    per_h = MAX_DIAGRAM_EDGES // 2048
+    at_cap = "# comment\nqubits 10\n" + "h 0\n" * (per_h - 1) + "z 1\n\nx 1\n"
+    assert len(parse_circuit(at_cap).gates) == per_h + 1
+    with pytest.raises(CircuitParseError, match="exceeds the cap") as info:
+        parse_circuit(at_cap + "h 2\n")
+    assert info.value.line == per_h + 5
+    assert f"line {per_h + 5}," in str(info.value)
+
+
 def test_diagram_rejects_bad_mode():
     circ = parse_circuit("qubits 1\nx 0\n")
     with pytest.raises(ValueError):
@@ -389,6 +402,16 @@ def test_render_svg_labels_amplitudes():
     circ = parse_circuit("qubits 1\nh 0\n")
     svg = render_svg(build_diagram(circ, mode="complete"))
     assert "0.707" in svg
+
+
+@pytest.mark.parametrize("mode", ["complete", "simplified"])
+def test_mixed_golden_renders_are_byte_identical(mode):
+    """A custom input, complex a+bj labels, 12 layers (two-digit connector
+    cells) and, in complete mode, thin edges leaving dormant lines."""
+    circ = parse_circuit((GOLDEN_DIR / "mixed.qs").read_text(encoding="utf-8"))
+    diag = build_diagram(circ, mode=mode)
+    assert render_text(diag).encode() == (GOLDEN_DIR / f"mixed.{mode}.txt").read_bytes()
+    assert render_svg(diag).encode() == (GOLDEN_DIR / f"mixed.{mode}.svg").read_bytes()
 
 
 def test_circuit_validation_catches_misfit_gate():

@@ -91,8 +91,10 @@ def test_kernel_matches_dense_oracle(circuit, mode):
     assert all(diag.boundaries[-1].active[i] for i in np.flatnonzero(np.abs(final) > 1e-9))
     oracle = StateDiagram(
         circuit.n_qubits, mode,
-        tuple(DiagramLayer(label, tuple(edges)) for label, edges in layers),
-        tuple(LineActivity(tuple(active), tuple(amps)) for active, amps in boundaries),
+        tuple(DiagramLayer(label, *(np.array([edge[j] for edge in edges], dtype=dtype)
+                                    for j, dtype in enumerate((int, int, complex))))
+              for label, edges in layers),
+        tuple(LineActivity(np.array(active), np.array(amps)) for active, amps in boundaries),
     )
     assert render_text(diag) == render_text(oracle)
     assert render_svg(diag) == render_svg(oracle)

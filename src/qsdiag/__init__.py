@@ -1,126 +1,58 @@
-"""Tools for density-matrix channels, purification and diagrams of states."""
+"""Tools for density-matrix channels, purification and diagrams of states.
 
-from .bloch import (
-    BlochAffineMap,
-    MapDecomposition,
-    affine_map_of_channel,
-    bloch_from_dm,
-    decompose_map,
-    dm_from_bloch,
-    ellipsoid_samples,
-    points_to_csv,
-)
-from .channels import (
-    CHANNEL_KINDS,
-    ChannelSpec,
-    channel_from_spec,
-    format_channel_spec,
-    make_amp_damp,
-    make_deformation,
-    make_depolarizing_general,
-    make_depolarizing_standard,
-    make_rotation,
-    parse_channel_spec,
-)
-from .composite import immerse_gate, partial_trace, permute_qubits, tensor
-from .core import (
-    DensityMatrix,
-    DensityReport,
-    FormatError,
-    PureState,
-    basis_state,
-    dm_from_pure,
-    matrix_from_json,
-    matrix_to_json,
-    parse_number,
-    spectral_decompose,
-    validate_density,
-)
-from .diagram import (
-    Circuit,
-    CircuitParseError,
-    Gate,
-    StateDiagram,
-    build_diagram,
-    build_gate,
-    parse_circuit,
-    render_svg,
-    render_text,
-    simulate,
-)
-from .kraus import (
-    KrausChannel,
-    apply_channel,
-    channel_from_json_dict,
-    channel_to_json_dict,
-    channel_with_ancilla,
-    dilate_single_ancilla,
-    kraus_from_unitary,
-    validate_channel,
-)
-from .purify import (
-    PurificationResult,
-    purification_angles,
-    purify_single_qubit,
-    synthesize_purification_circuit,
-)
+Each public name lives in one layer module, listed once in `_EXPORTS`.
+`import qsdiag` loads none of them: a layer is imported the first time one
+of its names is read (PEP 562), so `from qsdiag import DensityMatrix`
+loads `qsdiag.core` alone.  Nothing is cached here, so `qsdiag.X` is always
+the home module's current attribute.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochAffineMap",
-    "CHANNEL_KINDS",
-    "ChannelSpec",
-    "Circuit",
-    "CircuitParseError",
-    "DensityMatrix",
-    "DensityReport",
-    "FormatError",
-    "Gate",
-    "KrausChannel",
-    "MapDecomposition",
-    "PureState",
-    "PurificationResult",
-    "StateDiagram",
-    "affine_map_of_channel",
-    "apply_channel",
-    "basis_state",
-    "bloch_from_dm",
-    "build_diagram",
-    "build_gate",
-    "channel_from_json_dict",
-    "channel_from_spec",
-    "channel_to_json_dict",
-    "channel_with_ancilla",
-    "decompose_map",
-    "dilate_single_ancilla",
-    "dm_from_bloch",
-    "dm_from_pure",
-    "ellipsoid_samples",
-    "format_channel_spec",
-    "immerse_gate",
-    "kraus_from_unitary",
-    "make_amp_damp",
-    "make_deformation",
-    "make_depolarizing_general",
-    "make_depolarizing_standard",
-    "make_rotation",
-    "matrix_from_json",
-    "matrix_to_json",
-    "parse_channel_spec",
-    "parse_circuit",
-    "parse_number",
-    "partial_trace",
-    "permute_qubits",
-    "points_to_csv",
-    "purification_angles",
-    "purify_single_qubit",
-    "render_svg",
-    "render_text",
-    "simulate",
-    "spectral_decompose",
-    "synthesize_purification_circuit",
-    "tensor",
-    "validate_channel",
-    "validate_density",
-]
+_EXPORTS = {
+    "bloch": (
+        "BlochAffineMap", "MapDecomposition", "affine_map_of_channel", "bloch_from_dm",
+        "decompose_map", "dm_from_bloch", "ellipsoid_samples", "points_to_csv",
+    ),
+    "channels": (
+        "CHANNEL_KINDS", "ChannelSpec", "channel_from_spec", "format_channel_spec",
+        "make_amp_damp", "make_deformation", "make_depolarizing_general",
+        "make_depolarizing_standard", "make_rotation", "parse_channel_spec",
+    ),
+    "composite": ("immerse_gate", "partial_trace", "permute_qubits", "tensor"),
+    "core": (
+        "DensityMatrix", "DensityReport", "FormatError", "PureState", "basis_state",
+        "dm_from_pure", "matrix_from_json", "matrix_to_json", "parse_number",
+        "spectral_decompose", "validate_density",
+    ),
+    "diagram": (
+        "Circuit", "CircuitParseError", "Gate", "StateDiagram", "build_diagram",
+        "build_gate", "parse_circuit", "render_svg", "render_text", "simulate",
+    ),
+    "kraus": (
+        "KrausChannel", "apply_channel", "channel_from_json_dict", "channel_to_json_dict",
+        "channel_with_ancilla", "dilate_single_ancilla", "kraus_from_unitary",
+        "validate_channel",
+    ),
+    "purify": (
+        "PurificationResult", "purification_angles", "purify_single_qubit",
+        "synthesize_purification_circuit",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,11 +6,12 @@ Matrices travel as JSON ({"rows", "cols", "re", "im"}), channels as
 in the text format of `qsdiag.diagram`.  Numeric flags accept finite
 decimals or pi-fractions such as "pi/4".  The validation tolerance comes
 from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
-be non-negative.  `ellipsoid --grid` needs at least 2x2 and is capped at
-MAX_GRID_POINTS points; other grids are unusable flags (exit 2).  `trace`
-qubit arguments must name existing qubits and leave at least one untraced;
-other qubit arguments are unusable (exit 2).  `evolve --steps` is capped at
-MAX_STEPS, and its channel must act on the state's dimension (exit 2).
+be non-negative and below 1.  `ellipsoid --grid` needs at least 2x2 and is
+capped at MAX_GRID_POINTS points; other grids are unusable flags (exit 2).
+`trace` qubit arguments must name existing qubits and leave at least one
+untraced; other qubit arguments are unusable (exit 2).  `evolve --steps` is
+capped at MAX_STEPS, and its channel must act on the state's dimension
+(exit 2).
 Input files are read as UTF-8; other bytes are malformed input (exit 2), as
 are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES`.
 
@@ -55,8 +56,10 @@ def _resolve_tol(args) -> float:
     if text is None:
         return DEFAULT_TOL
     tol = parse_number(text)
-    if tol < 0:
-        raise FormatError(f"tolerance must be non-negative, got {text!r}")
+    # Below 1, every accepted matrix has entries of order 2^n at most, so no
+    # later sum can overflow.
+    if not 0 <= tol < 1:
+        raise FormatError(f"tolerance must be non-negative and below 1, got {text!r}")
     return tol
 
 
@@ -226,10 +229,7 @@ def main(argv=None) -> int:
         # Looked up by name on each call, not bound into the cached parser, so a
         # replaced module attribute (a tracing wrapper, a test double) takes effect.
         text, code = globals()[f"cmd_{args.command}"](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

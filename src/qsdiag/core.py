@@ -65,8 +65,14 @@ def as_complex_matrix(values) -> np.ndarray:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of U^dagger U - 1 for a square matrix U."""
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+    """Max-norm of U^dagger U - 1 for a square matrix U.
+
+    Finite entries near the float limit overflow the product to inf or NaN;
+    callers checking outside input reject any defect that is not <= their
+    tolerance, so that is not warned about.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
 
 
 class PureState:
@@ -166,10 +172,15 @@ def validate_density(matrix, tol: float = SPECTRAL_TOL) -> DensityReport:
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"expected a square matrix, got {rows}x{cols}")
-    herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    trace_defect = float(abs(m.trace() - 1.0))
-    # Eigenvalues of the hermitized part; for a Hermitian input this is exact.
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    # Finite entries near the float limit overflow the defects to inf (the
+    # trace defect to NaN if the diagonal holds both signs), and every check
+    # on the report rejects such a matrix, so the overflow is not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+        trace_defect = float(abs(m.trace() - 1.0))
+        # Eigenvalues of the hermitized part; for a Hermitian input this is
+        # exact.  Halving before adding keeps the sum finite.
+        min_eig = float(np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0)[0])
     return DensityReport(herm_defect, trace_defect, min_eig, tol)
 
 

@@ -57,7 +57,8 @@ from .core import (
 
 # Entries below this magnitude do not produce diagram edges.
 EDGE_TOL = 1e-12
-# Most complete-mode edges a parsed circuit may have (an SVG takes about 1 kB per edge).
+# Most complete-mode edges a circuit may have, checked by `parse_circuit` and
+# `build_diagram` (an SVG takes about 1 kB per edge).
 MAX_DIAGRAM_EDGES = 262_144
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -310,7 +311,8 @@ def parse_circuit(text: str) -> Circuit:
                 if amps.size != dim:
                     raise CircuitParseError(
                         f"amplitude list needs {dim} entries, got {amps.size}", lineno, col)
-                norm = float(np.linalg.norm(amps))
+                with np.errstate(over="ignore"):  # |v| = inf fails the check below
+                    norm = float(np.linalg.norm(amps))
                 if abs(norm - 1.0) > 1e-6:
                     raise CircuitParseError(
                         f"input amplitudes are far from normalized (|v| = {norm!r})",
@@ -455,7 +457,9 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     chain of edges connects it back to the input support, regardless of
     whether interference happens to cancel the amplitude on the way.  The
     carried amplitudes come from simulation, so exact cancellations show up
-    as active lines holding amplitude zero.
+    as active lines holding amplitude zero.  Raises ValueError once the
+    complete-mode edges of the gates so far pass `MAX_DIAGRAM_EDGES`, in
+    either mode.
     """
     if mode not in ("complete", "simplified"):
         raise ValueError(f"mode must be 'complete' or 'simplified', got {mode!r}")
@@ -463,8 +467,13 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     active = np.abs(psi) > EDGE_TOL
     boundaries = [LineActivity(active, psi)]
     layers = []
-    for gate in circuit.gates:
+    n_edges = 0
+    for index, gate in enumerate(circuit.gates):
         src, dst, amp = _gate_edges(gate, circuit.n_qubits)
+        n_edges += src.size
+        if n_edges > MAX_DIAGRAM_EDGES:
+            raise ValueError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges "
+                             f"at gate {index} ({gate.label})")
         psi = _apply_edges(psi, src, dst, amp)
         reached = active[src]
         active = np.zeros(psi.size, dtype=bool)

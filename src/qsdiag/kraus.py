@@ -138,7 +138,7 @@ def kraus_from_unitary(unitary, env_state: PureState) -> KrausChannel:
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 unitary, got {u.shape[0]}x{u.shape[1]}")
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:  # also rejects NaN
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     if env_state.n_qubits != 1:
         raise ValueError("environment state must be a single qubit")

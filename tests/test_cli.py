@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,31 @@ def test_diagram_over_edge_cap_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "diagram", str(circuit))
     assert one_usage_error(code, out, err)
     assert f"line {MAX_DIAGRAM_EDGES // 2048 + 2}," in err
+
+
+HUGE_DIAGONAL = '{"rows": 2, "cols": 2, "re": [1e308, 0, 0, 1e308], "im": [0, 0, 0, 0]}'
+
+
+@pytest.mark.parametrize("argv, payload, expected", [
+    (["diagram", "FILE"], "qubits 1\ninput [1e308, 1e308]\n", 2),
+    (["diagram", "FILE"], "qubits 1\nmatrix [[1e200,0],[0,1]] 0\n", 2),
+    (["diagram", "FILE"], "qubits 1\nmatrix [[1e200,1e200],[1e200,1e200j]] 0\n", 2),
+    (["validate", "FILE"], HUGE_DIAGONAL, 1),
+    (["evolve", "FILE", "phase_flip:1"], HUGE_DIAGONAL, 1),
+    (["purify", "FILE"], HUGE_DIAGONAL, 1),
+], ids=["huge-input", "huge-matrix", "nan-defect-matrix", "validate", "evolve", "purify"])
+def test_finite_extreme_input_fails_without_warnings(tmp_path, capsys, argv, payload, expected):
+    """Overflow on finite input is rejected by the check after it, never warned about."""
+    path = tmp_path / "input"
+    path.write_text(payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == expected
+    if argv[0] == "validate":
+        assert err == "" and "result: FAIL" in out and "nan" not in out
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_import_loads_no_xml_or_network_modules():
@@ -345,6 +371,16 @@ def test_tol_must_be_finite_and_non_negative(rho_file, capsys, tol):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_tol_of_one_or_more_is_usage_error(tmp_path, capsys):
+    """A tolerance of 1 or more would admit 1e308 entries, whose partial trace overflows."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(matrix_to_json(np.diag([1e308, 1e308, -1e308, -1e308])))
+    for tol in ("1", "1e308"):
+        code, out, err = run(capsys, "trace", str(huge), "0", "--tol", tol)
+        assert one_usage_error(code, out, err)
+        assert "below 1" in err
 
 
 def test_tol_env_must_be_non_negative(rho_file, capsys, monkeypatch):

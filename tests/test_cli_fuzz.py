@@ -1,0 +1,122 @@
+"""The CLI's boundary contract, checked on mutated inputs.
+
+Golden circuits, matrix JSON and channel spec strings are mutated by byte
+insertion, deletion and duplication and by swapping a word for an extreme
+token, then fed to `cli.main`.  Whatever the input, the call returns exit
+code 0, 1 or 2 without raising or warning, within a fixed wall time; a
+non-zero exit writes nothing on stdout and ends stderr with an `error:` line,
+except `validate`, whose failed verdict is its report on stdout.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsdiag import matrix_to_json
+from qsdiag.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CIRCUITS = tuple(p.read_bytes() for p in sorted(GOLDEN_DIR.glob("*.qs")))
+MATRICES = tuple(matrix_to_json(m).encode() for m in (
+    np.array([[0.5, 0.25], [0.25, 0.5]]),
+    np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
+    np.diag([0.4, 0.3, 0.2, 0.1]),
+    np.array([[0.9, 0.5], [0.5, 0.1]]),
+))
+SPECS = (b"phase_flip:pi/2", b"amp_damp_z_plus:pi/4", b"rotation_y:-pi/3",
+         b"depolarizing_general:0.3:0.5,0.5,0.5,0.5", b"depolarizing_standard:1")
+TOKENS = (b"1e308", b"-1e308", b"-0", b"nan", str(10 ** 400).encode(), b"[" * 5000,
+          b"\xff", b"4294967296", b"99999999999999999999")
+# Generous against the slowest legitimate example (a 10-qubit diagram) on a slow host.
+WALL_S = 5.0
+WORD = re.compile(rb"[-\w.]+")
+
+
+@st.composite
+def mutated(draw, seeds):
+    data = bytearray(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "duplicate", "token")))
+        words = list(WORD.finditer(data))
+        if kind == "token" and words:
+            word = draw(st.sampled_from(words))
+            data[word.start():word.end()] = draw(st.sampled_from(TOKENS))
+            continue
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        if kind == "insert":
+            data[i:i] = bytes([draw(st.integers(0, 255))])
+        elif kind == "delete":
+            del data[i:j]
+        else:
+            data[i:i] = data[i:j]
+    return bytes(data)
+
+
+def arg(data: bytes) -> str:
+    """Bytes as a command-line argument arrives on POSIX."""
+    return data.decode("utf-8", "surrogateescape")
+
+
+COUNTS = st.sampled_from(TOKENS) | st.integers(-1, 4).map(lambda n: str(n).encode())
+
+
+@st.composite
+def cases(draw):
+    """(argv with FILE for the input path, input file bytes or None)."""
+    source = draw(st.sampled_from(("circuit", "matrix", "spec")))
+    if source == "circuit":
+        argv = ["diagram", "FILE", "--mode", draw(st.sampled_from(("complete", "simplified"))),
+                "--format", draw(st.sampled_from(("text", "svg")))]
+        return argv, draw(mutated(CIRCUITS))
+    if source == "matrix":
+        command = draw(st.sampled_from(("validate", "evolve", "purify", "trace")))
+        argv = [command, "FILE"]
+        if command == "evolve":
+            argv += [arg(draw(st.sampled_from(SPECS))), "--steps", arg(draw(COUNTS))]
+        elif command == "trace":
+            argv += [arg(draw(COUNTS))]
+        if draw(st.booleans()):
+            argv += ["--tol", arg(draw(mutated((b"1e-10", b"0.5"))))]
+        return argv, draw(mutated(MATRICES))
+    spec = arg(draw(mutated(SPECS)))
+    if draw(st.booleans()):
+        return ["ellipsoid", spec, "--grid", arg(draw(mutated((b"12x24", b"3x2"))))], None
+    return ["evolve", "FILE", spec], MATRICES[0]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cases())
+def test_cli_contract_holds_on_mutated_input(case):
+    argv, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        if payload is not None:
+            path.write_bytes(payload)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert elapsed < WALL_S
+    if code == 0:
+        return
+    if argv[0] == "validate" and code == 1:
+        assert err == "" and "result: FAIL" in out
+    else:
+        assert out == ""
+        assert "error:" in err.splitlines()[-1]

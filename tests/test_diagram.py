@@ -349,6 +349,18 @@ def test_edge_cap_admits_its_value_and_names_the_crossing_line():
     assert f"line {per_h + 5}," in str(info.value)
 
 
+def test_build_diagram_caps_circuits_built_in_code():
+    # Each h on 10 qubits adds 2048 complete-mode edges, as in the parse-time cap.
+    h = build_gate("h", (), [0], 10)
+    per_h = MAX_DIAGRAM_EDGES // 2048
+    at_cap = Circuit(10, (h,) * per_h, basis_state(10, 0))
+    assert len(build_diagram(at_cap, mode="simplified").layers) == per_h
+    over = Circuit(10, (h,) * 400, basis_state(10, 0))
+    for mode in ("complete", "simplified"):
+        with pytest.raises(ValueError, match=f"exceeds the cap .* at gate {per_h} "):
+            build_diagram(over, mode=mode)
+
+
 def test_diagram_rejects_bad_mode():
     circ = parse_circuit("qubits 1\nx 0\n")
     with pytest.raises(ValueError):

@@ -1,0 +1,51 @@
+"""The `qsdiag` package facade: one name table, layers loaded on first use."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import qsdiag
+import qsdiag.core
+
+LAYERS = ("bloch", "channels", "cli", "composite", "core", "diagram", "kraus", "purify")
+
+
+def loaded_after(statement: str) -> list:
+    """The qsdiag modules a fresh interpreter holds after running `statement`."""
+    probe = f"import sys; {statement}; print(*sorted(m for m in sys.modules if 'qsdiag' in m))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_one_name_loads_only_its_layer():
+    assert loaded_after("from qsdiag import DensityMatrix") == ["qsdiag", "qsdiag.core"]
+
+
+def test_cli_import_loads_every_layer():
+    assert loaded_after("import qsdiag.cli") == ["qsdiag"] + [f"qsdiag.{m}" for m in LAYERS]
+
+
+def test_every_public_name_is_its_home_modules_attribute():
+    for module, names in qsdiag._EXPORTS.items():
+        home = importlib.import_module(f"qsdiag.{module}")
+        for name in names:
+            assert getattr(qsdiag, name) is getattr(home, name)
+    assert qsdiag.__all__ == sorted(qsdiag._HOME) and len(qsdiag.__all__) == 55
+
+
+def test_replaced_attribute_shows_through_the_facade(monkeypatch):
+    monkeypatch.setattr(qsdiag.core, "parse_number", float)
+    assert qsdiag.parse_number is float
+
+
+def test_dir_lists_every_public_name():
+    assert set(qsdiag.__all__) <= set(dir(qsdiag))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        qsdiag.nope
+    assert not hasattr(qsdiag, "nope")

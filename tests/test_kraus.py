@@ -138,6 +138,13 @@ def test_kraus_from_unitary_rejects_non_unitary():
         kraus_from_unitary(np.ones((4, 4)), PureState([1.0, 0.0]))
 
 
+def test_kraus_from_unitary_rejects_overflowing_matrix():
+    # U^dagger U overflows, so the unitarity defect is NaN, which must not pass.
+    u = np.kron(np.eye(2), [[1e200, 1e200], [1e200, 1e200j]])
+    with pytest.raises(ValueError, match="not unitary"):
+        kraus_from_unitary(u, PureState([1.0, 0.0]))
+
+
 def test_master_oracle_direct_vs_dilated():
     """Kraus sum == tensor ancilla, apply the full unitary, trace the MSB."""
     gen = np.random.default_rng(47)

@@ -172,12 +172,14 @@ def validate_density(matrix, tol: float = SPECTRAL_TOL) -> DensityReport:
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"expected a square matrix, got {rows}x{cols}")
-    # Finite entries near the float limit overflow the defects to inf (the
-    # trace defect to NaN if the diagonal holds both signs), and every check
-    # on the report rejects such a matrix, so the overflow is not warned about.
+    # Finite entries near the float limit overflow the defects to inf, and
+    # every check on the report rejects such a matrix, so the overflow is not
+    # warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        trace_defect = float(abs(m.trace() - 1.0))
+        # Halving (exact) before summing keeps partial sums of a diagonal that
+        # holds both signs finite, where they would reach inf - inf = NaN.
+        trace_defect = float(abs(2.0 * (m.diagonal() / 2.0).sum() - 1.0))
         # Eigenvalues of the hermitized part; for a Hermitian input this is
         # exact.  Halving before adding keeps the sum finite.
         min_eig = float(np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0)[0])

@@ -18,6 +18,22 @@ arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
 bool `active` array and the complex `amplitudes` array.  The renderers read
 them directly and format each line's y and each boundary's x once.
 
+Where a gate's edges run depends only on the register size, the targets
+and which entries are non-null; the values only label them.  So
+`_edge_layout` caches, per key (n_qubits, targets, non-null mask), the
+read-only src/dst arrays and the gate entry each edge carries, and every
+gate only gathers its own values into that order.  Complete-mode layers
+hold the cached src/dst arrays themselves.  A layout of E edges takes
+24 * E bytes; E is at most 4 * 2^n for any gate the circuit syntax can
+express (a dense two-qubit literal), 96 KiB at n = 10, so the
+`_LAYOUT_CACHE_SIZE` = 128 layouts take at most 12 MiB.  A gate built in
+code on k > 2 qubits can have up to 4^k * 2^(n-k) edges, and its layout is
+kept like any other.
+
+The renderers gather the layers' edges into flat arrays once per diagram
+and do their array work on those, so the Python loop over layers only
+slices lists and formats strings.
+
 Circuit text format, one statement per line, `#` starts a comment:
 
     qubits 2            # register size, must come first (1..10)
@@ -36,6 +52,7 @@ amplitude list for `input` is renormalized (rejected if off by > 1e-6).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -60,6 +77,8 @@ EDGE_TOL = 1e-12
 # Most complete-mode edges a circuit may have, checked by `parse_circuit` and
 # `build_diagram` (an SVG takes about 1 kB per edge).
 MAX_DIAGRAM_EDGES = 262_144
+# Edge layouts kept by `_edge_layout`, keyed by (n_qubits, targets, non-null mask).
+_LAYOUT_CACHE_SIZE = 128
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -158,7 +177,7 @@ def _reorder_to_sorted(matrix: np.ndarray, listed: tuple) -> tuple:
     targets = tuple(sorted(listed))
     # Sorted bit j (qubit targets[j]) is listed bit k-1-i, where listed[i] == targets[j].
     omap = _scatter_table(tuple(k - 1 - listed.index(t) for t in targets))
-    return targets, matrix[np.ix_(omap, omap)]
+    return targets, matrix[omap[:, None], omap]
 
 
 def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
@@ -380,28 +399,39 @@ def parse_circuit(text: str) -> Circuit:
 # Simulation and diagram construction
 
 
-def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
-    """Edges of the gate's immersed unitary as (src, dst, amp) arrays, sorted by (src, dst).
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _edge_layout(n_qubits: int, targets: tuple, mask_bytes: bytes) -> tuple:
+    """Where a gate's edges run: read-only (src, dst, entry) arrays sorted by (src, dst).
 
-    The immersion maps line tt[c] + off to line tt[r] + off with amplitude
-    g[r, c], for every non-null entry g[r, c] and every offset `off` that
-    assigns the qubits outside the gate (tt and the offsets are the scatter
-    tables of the targets and of the other qubits).
+    The immersion maps line tt[c] + off to line tt[r] + off for every entry
+    (r, c) of the gate's non-null mask (`mask_bytes`, row-major) and every
+    offset `off` that assigns the qubits outside the gate (tt and the offsets
+    are the scatter tables of the targets and of the other qubits); `entry`
+    is r * 2^k + c, the flat index of the gate entry each edge carries.
     """
-    g = gate.matrix
-    r, c = np.nonzero(np.abs(g) > EDGE_TOL)
-    tt = _scatter_table(gate.targets)
-    rest = _scatter_table(tuple(q for q in range(n_qubits) if q not in gate.targets))
+    dim = 1 << len(targets)
+    r, c = np.nonzero(np.frombuffer(mask_bytes, dtype=bool).reshape(dim, dim))
+    tt = _scatter_table(targets)
+    rest = _scatter_table(tuple(q for q in range(n_qubits) if q not in targets))
     src = (tt[c][:, None] + rest).ravel()
     dst = (tt[r][:, None] + rest).ravel()
-    amp = np.repeat(g[r, c], rest.size)
     order = np.lexsort((dst, src))
-    return src[order], dst[order], amp[order]
+    layout = src[order], dst[order], np.repeat(r * dim + c, rest.size)[order]
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
+    """Edges of the gate's immersed unitary as (src, dst, amp) arrays, sorted by (src, dst)."""
+    g = gate.matrix
+    src, dst, entry = _edge_layout(n_qubits, gate.targets, (np.abs(g) > EDGE_TOL).tobytes())
+    return src, dst, g.ravel()[entry]
 
 
 def _apply_edges(psi: np.ndarray, src, dst, amp) -> np.ndarray:
     """The state after a gate: each edge carries amp * psi[src] onto line dst."""
-    out = np.zeros_like(psi)
+    out = np.zeros(psi.shape, dtype=psi.dtype)
     np.add.at(out, dst, amp * psi[src])
     return out
 
@@ -512,6 +542,23 @@ def _input_label(diagram: StateDiagram) -> str:
     return "custom"
 
 
+def _edge_table(layers) -> tuple:
+    """Every layer's edges as flat (src, dst, amp, layer) arrays, plus each layer's start.
+
+    Layer t owns entries bounds[t]:bounds[t + 1] of the flat arrays.
+    """
+    sizes = [len(layer.src) for layer in layers]
+    bounds = [0, *itertools.accumulate(sizes)]
+    src = np.concatenate([np.zeros(0, dtype=np.intp), *(layer.src for layer in layers)])
+    dst = np.concatenate([np.zeros(0, dtype=np.intp), *(layer.dst for layer in layers)])
+    amp = np.concatenate([np.zeros(0, dtype=complex), *(layer.amp for layer in layers)])
+    return src, dst, amp, np.repeat(np.arange(len(layers)), sizes), bounds
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
 def render_text(diagram: StateDiagram) -> str:
     """Fixed-width text rendering.
 
@@ -529,22 +576,33 @@ def render_text(diagram: StateDiagram) -> str:
         f"input: {_input_label(diagram)}",
         "",
     ]
-    actives = [b.active.tolist() for b in diagram.boundaries]
-    edges = [layer.edges for layer in diagram.layers]
-    touched = [{line for edge in layer_edges for line in edge[:2]} for layer_edges in edges]
-    cells = [f"[{t + 1:>{dw}}]" for t in range(n_layers)]
+    src, dst, amp, owner, bounds = _edge_table(diagram.layers)
+    # The chart as one byte matrix, a row per line: label, then a piece per
+    # layer, then the last segment and a newline.  Layer t's four pieces are
+    # its dormant/active segment followed by a blank/numbered cell, and a
+    # line's code selects one: 4t + active + 2 * touched.
+    active = np.stack([b.active for b in diagram.boundaries], axis=1)
     blank = "[" + " " * dw + "]"
-    for i in range(n_lines):
-        row = [f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> "]
-        for t in range(n_layers):
-            row.append("====" if actives[t][i] else "----")
-            row.append(cells[t] if i in touched[t] else blank)
-        row.append("====" if actives[n_layers][i] else "----")
-        out.append("".join(row))
+    pieces = "".join(seg + cell for t in range(n_layers)
+                     for cell in (blank, f"[{t + 1:>{dw}}]") for seg in ("----", "===="))
+    code = 4 * np.arange(n_layers) + active[:, :-1]
+    code[src, owner] |= 2
+    code[dst, owner] |= 2
+    labels = "".join(f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> " for i in range(n_lines))
+    chart = np.concatenate((
+        _ascii(labels).reshape(n_lines, -1),
+        np.take(_ascii(pieces).reshape(-1, dw + 6), code, axis=0).reshape(n_lines, -1),
+        np.take(_ascii("----===="), 4 * active[:, -1:] + np.arange(4)),
+        np.full((n_lines, 1), ord("\n"), dtype=np.uint8),
+    ), axis=1)
+    out.append(chart.tobytes().decode("ascii")[:-1])
+    srcs, dsts, amps = src.tolist(), dst.tolist(), amp.tolist()
     for t, layer in enumerate(diagram.layers):
         out.append("")
         out.append(f"[{t + 1}] {layer.label}")
-        out.extend(f"    {src} -> {dst}  {_fmt_amp(amp)}" for src, dst, amp in edges[t])
+        lo, hi = bounds[t], bounds[t + 1]
+        out.extend(f"    {s} -> {d}  {_fmt_amp(a)}"
+                   for s, d, a in zip(srcs[lo:hi], dsts[lo:hi], amps[lo:hi]))
     out.append("")
     out.append("output amplitudes:")
     final = diagram.boundaries[-1].amplitudes
@@ -604,27 +662,35 @@ def render_svg(diagram: StateDiagram) -> str:
     label_x = f"{_MARGIN_X - 58.0:.1f}"
     parts.extend(f'<text x="{label_x}" y="{v + 4.0:.1f}" {_TEXT_ATTRS}>'
                  f'{i} |{i:0{diagram.n_qubits}b}&gt;</text>' for i, v in enumerate(y.tolist()))
-    # Boundary wire stubs.
-    for t, boundary in enumerate(diagram.boundaries):
+    # Boundary wire stubs, then gate zones, each joined into one string so
+    # that the document's many small strings do not all live at once.
+    active = np.stack([b.active for b in diagram.boundaries])
+    for t, on_row in enumerate(active.tolist()):
         x_start, x_end = xs[t], xw[t]
-        parts.extend(f'<line x1="{x_start}" y1="{yi}" x2="{x_end}" y2="{yi}" {_STROKES[on]}/>'
-                     for yi, on in zip(ys, boundary.active.tolist()))
-    # Gate zones.
-    for t, layer in enumerate(diagram.layers):
+        parts.append("\n".join(
+            f'<line x1="{x_start}" y1="{yi}" x2="{x_end}" y2="{yi}" {_STROKES[on]}/>'
+            for yi, on in zip(ys, on_row)))
+    # Edges take their stroke from the activity of their source line.
+    src, dst, amp, owner, bounds = _edge_table(diagram.layers)
+    y0, y1 = y[src], y[dst]
+    label_ys = [f"{v:.1f}" for v in (y0 + 0.38 * (y1 - y0) - 4.0).tolist()]
+    strokes = active[owner, src].tolist()
+    srcs, dsts, amps = src.tolist(), dst.tolist(), amp.tolist()
+    # Dormant lines whose edges were pruned still continue, thin.
+    dormant = np.ones((n_layers, n_lines), dtype=bool)
+    dormant[owner, src] = False
+    for t, (layer, dormant_row) in enumerate(zip(diagram.layers, dormant.tolist())):
         x0, x1 = xb[t] + _WIRE_WIDTH, xb[t + 1]
-        parts.append(f'<text x="{(x0 + x1) / 2.0:.1f}" y="{_MARGIN_Y - 18.0:.1f}" '
-                     f'text-anchor="middle" {_TEXT_ATTRS}>{_escape(layer.label)}</text>')
+        zone = [f'<text x="{(x0 + x1) / 2.0:.1f}" y="{_MARGIN_Y - 18.0:.1f}" '
+                f'text-anchor="middle" {_TEXT_ATTRS}>{_escape(layer.label)}</text>']
         ex0, ex1, lx = xw[t], xs[t + 1], f"{x0 + 0.38 * (x1 - x0):.1f}"
-        y0, y1 = y[layer.src], y[layer.dst]
-        label_y = (y0 + 0.38 * (y1 - y0) - 4.0).tolist()
-        strokes = diagram.boundaries[t].active[layer.src].tolist()
-        for (s, d, a), ly, on in zip(layer.edges, label_y, strokes):
-            parts.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" {_STROKES[on]}/>')
-            parts.append(f'<text x="{lx}" y="{ly:.1f}" {_AMP_ATTRS}>{_fmt_amp(a)}</text>')
-        # Dormant lines whose edges were pruned still continue, thin.
-        has_out = np.zeros(n_lines, dtype=bool)
-        has_out[layer.src] = True
-        parts.extend(f'<line x1="{ex0}" y1="{ys[i]}" x2="{ex1}" y2="{ys[i]}" {_STROKES[False]}/>'
-                     for i in np.flatnonzero(~has_out).tolist())
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        lo, hi = bounds[t], bounds[t + 1]
+        for s, d, a, ly, on in zip(srcs[lo:hi], dsts[lo:hi], amps[lo:hi],
+                                   label_ys[lo:hi], strokes[lo:hi]):
+            zone.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" {_STROKES[on]}/>')
+            zone.append(f'<text x="{lx}" y="{ly}" {_AMP_ATTRS}>{_fmt_amp(a)}</text>')
+        zone.extend(f'<line x1="{ex0}" y1="{yi}" x2="{ex1}" y2="{yi}" {_STROKES[False]}/>'
+                    for yi in itertools.compress(ys, dormant_row))
+        parts.append("\n".join(zone))
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -186,6 +186,17 @@ def test_finite_extreme_input_fails_without_warnings(tmp_path, capsys, argv, pay
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_validate_reports_finite_trace_defect_for_opposite_huge_diagonal(tmp_path, capsys):
+    """Partial sums of diag(1e308, 1e308, -1e308, -1e308) must not reach inf - inf."""
+    path = tmp_path / "huge.json"
+    path.write_text(matrix_to_json(np.diag([1e308, 1e308, -1e308, -1e308])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    assert "trace defect:       1.000000e+00\n" in out
+
+
 def test_cli_import_loads_no_xml_or_network_modules():
     """Start-up stays free of `xml.sax.saxutils`, which imports urllib.request,
     http, email and ssl.  Bare `urllib` is not checked: pathlib imports urllib.parse."""

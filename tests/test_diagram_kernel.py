@@ -1,8 +1,9 @@
 """The gate-local diagram kernel against the dense `immerse_gate` oracle.
 
-Random circuits over the whole gate set (n <= 7, both modes) must give the
-oracle's edges, labels and activity exactly, its amplitudes to 1e-12 and
-byte-identical renders, and their final active lines must cover the
+Random circuits over the whole gate set (n <= 7, both modes, basis and
+custom inputs) must give the oracle's edges, labels and activity exactly,
+its amplitudes to 1e-12, and renders byte-identical to the per-layer
+reference renderers below, and their final active lines must cover the
 simulated support.  A guard test keeps the dense immersion out of the
 n = 10 hot path.
 """
@@ -27,7 +28,7 @@ from qsdiag import (
     render_text,
     simulate,
 )
-from qsdiag.diagram import DiagramLayer, LineActivity, StateDiagram
+from qsdiag.diagram import EDGE_TOL, DiagramLayer, LineActivity, StateDiagram
 from test_diagram import diagram_oracle
 
 # name -> (parameters, qubits); every base gate also comes in its c-prefixed form.
@@ -51,6 +52,118 @@ def _matrix_literal(draw, dim):
     if draw(st.booleans()):
         return random_unitary(gen, dim)
     return np.eye(dim)[gen.permutation(dim)] * np.exp(1j * gen.uniform(0, 2 * math.pi, dim))
+
+
+# ---------------------------------------------------------------------------
+# Reference renderers: one layer at a time, every string built from the
+# diagram's per-layer fields, with the geometry written out as literals.
+
+
+def escape_oracle(text):
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def amp_oracle(z):
+    re_part = z.real if z.real != 0 else 0.0
+    im_part = z.imag if z.imag != 0 else 0.0
+    if abs(im_part) < EDGE_TOL:
+        return f"{re_part:.3g}"
+    if abs(re_part) < EDGE_TOL:
+        return f"{im_part:.3g}j"
+    return f"{re_part:.3g}{im_part:+.3g}j"
+
+
+def input_label_oracle(diagram):
+    amps = diagram.boundaries[0].amplitudes
+    hot = np.flatnonzero(np.abs(amps) > EDGE_TOL)
+    if hot.size == 1 and abs(amps[hot[0]] - 1.0) < 1e-9:
+        return f"|{hot[0]:0{diagram.n_qubits}b}>"
+    return "custom"
+
+
+def render_text_oracle(diagram):
+    n_lines = diagram.n_lines
+    n_layers = len(diagram.layers)
+    iw = len(str(n_lines - 1))
+    dw = len(str(max(n_layers, 1)))
+    out = [
+        f"lines: {n_lines}  layers: {n_layers}  mode: {diagram.mode}",
+        f"input: {input_label_oracle(diagram)}",
+        "",
+    ]
+    actives = [b.active.tolist() for b in diagram.boundaries]
+    edges = [layer.edges for layer in diagram.layers]
+    touched = [{line for edge in layer_edges for line in edge[:2]} for layer_edges in edges]
+    cells = [f"[{t + 1:>{dw}}]" for t in range(n_layers)]
+    blank = "[" + " " * dw + "]"
+    for i in range(n_lines):
+        row = [f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> "]
+        for t in range(n_layers):
+            row.append("====" if actives[t][i] else "----")
+            row.append(cells[t] if i in touched[t] else blank)
+        row.append("====" if actives[n_layers][i] else "----")
+        out.append("".join(row))
+    for t, layer in enumerate(diagram.layers):
+        out.append("")
+        out.append(f"[{t + 1}] {layer.label}")
+        out.extend(f"    {src} -> {dst}  {amp_oracle(amp)}" for src, dst, amp in edges[t])
+    out.append("")
+    out.append("output amplitudes:")
+    final = diagram.boundaries[-1].amplitudes
+    for i in np.flatnonzero(np.abs(final) > EDGE_TOL).tolist():
+        out.append(f"    {i}  {amp_oracle(complex(final[i]))}")
+    out.append("")
+    return "\n".join(out)
+
+
+STROKES_ORACLE = ('stroke="#b6c2cc" stroke-width="0.8"', 'stroke="#16324f" stroke-width="2.6"')
+TEXT_ATTRS_ORACLE = 'font-family="monospace" font-size="11" fill="#5b6770"'
+AMP_ATTRS_ORACLE = 'font-family="monospace" font-size="9" fill="#5b6770"'
+
+
+def render_svg_oracle(diagram):
+    n_lines = diagram.n_lines
+    n_layers = len(diagram.layers)
+    width = f"{2 * 70.0 + n_layers * 150.0 + 40.0:.1f}"
+    height = f"{56.0 + (n_lines - 1) * 30.0 + 40.0:.1f}"
+    y = 56.0 + np.arange(n_lines) * 30.0
+    ys = [f"{v:.1f}" for v in y.tolist()]
+    xb = [70.0 + t * 150.0 for t in range(n_layers + 1)]
+    xs = [f"{x:.1f}" for x in xb]
+    xw = [f"{x + 40.0:.1f}" for x in xb]
+
+    title = (f"{diagram.n_qubits} qubit(s), {n_layers} layer(s), {diagram.mode}, "
+             f"input {input_label_oracle(diagram)}")
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<text x="70.0" y="20" font-family="monospace" '
+        f'font-size="13" fill="#16324f">{escape_oracle(title)}</text>',
+    ]
+    parts.extend(f'<text x="12.0" y="{v + 4.0:.1f}" {TEXT_ATTRS_ORACLE}>'
+                 f'{i} |{i:0{diagram.n_qubits}b}&gt;</text>' for i, v in enumerate(y.tolist()))
+    for t, boundary in enumerate(diagram.boundaries):
+        parts.extend(f'<line x1="{xs[t]}" y1="{yi}" x2="{xw[t]}" y2="{yi}" {STROKES_ORACLE[on]}/>'
+                     for yi, on in zip(ys, boundary.active.tolist()))
+    for t, layer in enumerate(diagram.layers):
+        x0, x1 = xb[t] + 40.0, xb[t + 1]
+        parts.append(f'<text x="{(x0 + x1) / 2.0:.1f}" y="38.0" '
+                     f'text-anchor="middle" {TEXT_ATTRS_ORACLE}>{escape_oracle(layer.label)}</text>')
+        ex0, ex1, lx = xw[t], xs[t + 1], f"{x0 + 0.38 * (x1 - x0):.1f}"
+        y0, y1 = y[layer.src], y[layer.dst]
+        label_y = (y0 + 0.38 * (y1 - y0) - 4.0).tolist()
+        strokes = diagram.boundaries[t].active[layer.src].tolist()
+        for (s, d, a), ly, on in zip(layer.edges, label_y, strokes):
+            parts.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" '
+                         f'{STROKES_ORACLE[on]}/>')
+            parts.append(f'<text x="{lx}" y="{ly:.1f}" {AMP_ATTRS_ORACLE}>{amp_oracle(a)}</text>')
+        has_out = np.zeros(n_lines, dtype=bool)
+        has_out[layer.src] = True
+        parts.extend(f'<line x1="{ex0}" y1="{ys[i]}" x2="{ex1}" y2="{ys[i]}" {STROKES_ORACLE[0]}/>'
+                     for i in np.flatnonzero(~has_out).tolist())
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 @st.composite
@@ -96,8 +209,8 @@ def test_kernel_matches_dense_oracle(circuit, mode):
               for label, edges in layers),
         tuple(LineActivity(np.array(active), np.array(amps)) for active, amps in boundaries),
     )
-    assert render_text(diag) == render_text(oracle)
-    assert render_svg(diag) == render_svg(oracle)
+    assert render_text(diag) == render_text_oracle(oracle)
+    assert render_svg(diag) == render_svg_oracle(oracle)
 
 
 def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):
@@ -123,3 +236,47 @@ def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
     # Everything together stays below the size of one dense 2^n x 2^n immersion.
     assert peak < 16 * 4 ** n
+
+
+def dense_edges(gate, n_qubits):
+    """(src, dst, amp) of every non-null entry of the dense immersion, in (src, dst) order."""
+    u = qsdiag.composite.immerse_gate(gate.matrix, gate.targets, n_qubits)
+    return [(src, dst, complex(u[dst, src])) for src in range(2 ** n_qubits)
+            for dst in range(2 ** n_qubits) if abs(u[dst, src]) > EDGE_TOL]
+
+
+def test_edge_layouts_are_keyed_by_register_targets_and_pattern():
+    """In one process, layouts that share part of their key must not be confused:
+    one register and targets with three patterns, one pattern with two sets of
+    values, and one gate on two register sizes."""
+    qsdiag.diagram._edge_layout.cache_clear()
+    for n, statements in ((2, ["cx 0 1", "cx 1 0", "cz 0 1"]),
+                          (2, ["rz(0.3) 0", "rz(1.1) 0"]),
+                          (3, ["cx 0 1", "rz(1.1) 0"])):
+        circuit = parse_circuit(f"qubits {n}\n" + "\n".join(statements) + "\n")
+        for gate in circuit.gates:
+            src, dst, amp = qsdiag.diagram._gate_edges(gate, n)
+            edges = list(zip(src.tolist(), dst.tolist(), amp.tolist()))
+            assert edges == dense_edges(gate, n), (n, gate.label)
+    # Only the second rz reuses a layout.
+    info = qsdiag.diagram._edge_layout.cache_info()
+    assert (info.hits, info.misses) == (1, 6)
+
+
+def test_complete_mode_layers_share_read_only_layouts():
+    circuit = parse_circuit("qubits 3\nh 0\ncx 0 2\nh 0\n")
+    first, _, third = build_diagram(circuit, mode="complete").layers
+    for layer in (first, third):
+        assert not layer.src.flags.writeable and not layer.dst.flags.writeable
+    assert first.src is third.src and first.dst is third.dst
+
+
+def test_edge_layout_cache_stays_bounded():
+    layout = qsdiag.diagram._edge_layout
+    maxsize = layout.cache_info().maxsize
+    assert maxsize == qsdiag.diagram._LAYOUT_CACHE_SIZE
+    for pattern in range(1, maxsize + 40):  # more distinct 4x4 masks than the cache holds
+        mask = np.array([(pattern >> bit) & 1 for bit in range(16)], dtype=bool)
+        src, _, entry = layout(3, (0, 2), mask.tobytes())
+        assert src.size == 2 * mask.sum() and set(entry.tolist()) == set(np.flatnonzero(mask))
+    assert layout.cache_info().currsize <= maxsize

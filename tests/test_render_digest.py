@@ -1,0 +1,98 @@
+"""Byte identity of the renderers, pinned by one digest.
+
+Sixty seeded random circuits (1-6 qubits, every gate in the set, controlled
+forms and matrix literals, basis and custom inputs) are parsed from text and
+rendered as text and SVG in both modes; one SHA-256 covers all 240
+documents.  A change that must keep the output bytes keeps this digest.  The
+circuits are built from text with angles and literals written out in full,
+so the inputs do not depend on the random generator's floating-point path.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from qsdiag import build_diagram, parse_circuit, render_svg, render_text
+
+# name -> (parameters, qubits); every base gate also comes in its c-prefixed form.
+_BASE = {
+    "x": (0, 1), "y": (0, 1), "z": (0, 1), "h": (0, 1), "s": (0, 1), "t": (0, 1),
+    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1), "phase": (1, 1), "swap": (0, 2),
+}
+GATES = {**_BASE, **{"c" + name: (p, k + 1) for name, (p, k) in _BASE.items()}}
+# Angles that zero entries exactly or leave them just below the edge tolerance.
+EXACT_ANGLES = ("0", "pi/2", "pi", "3pi/2", "2pi", "-pi/2")
+
+N_CIRCUITS = 60
+SEED = 20261018
+DIGEST = "6160dbecfc32d0fc0ed140f7fdd6a839825c660751792d95e46739c908677e27"
+
+
+def _literal(matrix) -> str:
+    return "[" + ",".join("[" + ",".join(repr(complex(z)) for z in row) + "]"
+                          for row in matrix) + "]"
+
+
+def _u2(gen) -> np.ndarray:
+    theta, a, b, c = (float(v) for v in gen.uniform(0, 2 * math.pi, 4))
+    cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+    phase = complex(math.cos(c), math.sin(c))
+    return phase * np.array([[cos, -complex(math.cos(b), math.sin(b)) * sin],
+                             [complex(math.cos(a), math.sin(a)) * sin,
+                              complex(math.cos(a + b), math.sin(a + b)) * cos]])
+
+
+def _matrix_gate(gen, n) -> str:
+    arity = int(gen.integers(1, min(2, n) + 1))
+    kind = int(gen.integers(3))
+    if arity == 1:
+        m = _u2(gen) if kind else np.eye(2)[gen.permutation(2)]
+    elif kind == 0:  # a permutation with phases: exact zeros
+        phases = [complex(math.cos(p), math.sin(p)) for p in gen.uniform(0, 2 * math.pi, 4)]
+        m = np.eye(4)[gen.permutation(4)] * np.array(phases)
+    else:
+        m = np.kron(_u2(gen), _u2(gen) if kind == 2 else np.eye(2))
+    qubits = gen.permutation(n)[:arity]
+    return f"matrix {_literal(m)} " + " ".join(str(q) for q in qubits)
+
+
+def random_circuit_text(gen) -> str:
+    n = int(gen.integers(1, 7))
+    lines = [f"qubits {n}"]
+    if gen.integers(2):
+        lines.append(f"input {int(gen.integers(2 ** n))}")
+    else:
+        amps = gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n)
+        amps /= np.linalg.norm(amps)
+        lines.append("input [" + ", ".join(repr(complex(z)) for z in amps) + "]")
+    names = sorted(name for name, (_, k) in GATES.items() if k <= n)
+    for _ in range(int(gen.integers(0, 9))):
+        if gen.integers(5) == 0:
+            lines.append(_matrix_gate(gen, n))
+            continue
+        name = names[int(gen.integers(len(names)))]
+        n_params, arity = GATES[name]
+        head = name
+        if n_params:
+            angle = (EXACT_ANGLES[int(gen.integers(len(EXACT_ANGLES)))] if gen.integers(2)
+                     else repr(float(gen.uniform(-2 * math.pi, 2 * math.pi))))
+            head += f"({angle})"
+        lines.append(head + " " + " ".join(str(q) for q in gen.permutation(n)[:arity]))
+    return "\n".join(lines) + "\n"
+
+
+def render_digest() -> str:
+    gen = np.random.default_rng(SEED)
+    h = hashlib.sha256()
+    for _ in range(N_CIRCUITS):
+        circuit = parse_circuit(random_circuit_text(gen))
+        for mode in ("complete", "simplified"):
+            diagram = build_diagram(circuit, mode=mode)
+            h.update(render_text(diagram).encode())
+            h.update(render_svg(diagram).encode())
+    return h.hexdigest()
+
+
+def test_renders_keep_their_bytes():
+    assert render_digest() == DIGEST

@@ -27,8 +27,17 @@ hold the cached src/dst arrays themselves.  A layout of E edges takes
 24 * E bytes; E is at most 4 * 2^n for any gate the circuit syntax can
 express (a dense two-qubit literal), 96 KiB at n = 10, so the
 `_LAYOUT_CACHE_SIZE` = 128 layouts take at most 12 MiB.  A gate built in
-code on k > 2 qubits can have up to 4^k * 2^(n-k) edges, and its layout is
-kept like any other.
+code on k > 2 qubits can have up to 4^k * 2^(n-k) edges; `build_diagram`
+counts them before it asks for the layout, so a gate past
+`MAX_DIAGRAM_EDGES` raises without caching one.
+
+`parse_circuit` builds a repeated gate once per call: it keeps a dict from
+a statement's comment-free text to its Gate and edge count, so identical
+statements share one Gate object (its matrix is read-only).  The text
+includes any matrix literal, so two different literals never share a key,
+as they would under a key of gate name or label (`matrix 0` labels every
+2x2 literal on qubit 0 alike).  An error is never stored, and the edge cap
+is still checked on every line.
 
 The renderers gather the layers' edges into flat arrays once per diagram
 and do their array work on those, so the Python loop over layers only
@@ -228,6 +237,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
     if len(qubits) != arity:
         raise ValueError(f"{name} acts on {arity} qubit(s), got {len(qubits)} argument(s)")
     targets, sorted_matrix = _reorder_to_sorted(full, qubits)
+    sorted_matrix.flags.writeable = False  # one Gate may stand at many positions
     return Gate(name, params, qubits, targets, sorted_matrix)
 
 
@@ -279,12 +289,48 @@ def _parse_matrix_literal(body: str, line: int, col: int) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
+def _gate_statement(head: str, rest: str, n_qubits: int, lineno: int, col: int) -> tuple:
+    """Build a gate statement's Gate and count its complete-mode edges."""
+    match = _GATE_HEAD_RE.match(head)
+    if not match:
+        raise CircuitParseError(f"cannot parse gate name {head!r}", lineno, col)
+    name = match.group(1).lower()
+    params = ()
+    if match.group(2) is not None:
+        try:
+            params = tuple(parse_number(p) for p in match.group(2).split(","))
+        except FormatError as exc:
+            raise CircuitParseError(str(exc), lineno, col) from None
+    literal = None
+    if name == "matrix":
+        bracket_col = col + len(head) + 1
+        if not rest.startswith("["):
+            raise CircuitParseError("matrix gate needs a [[...]] literal", lineno, bracket_col)
+        body, rest = _extract_bracketed(rest, lineno, bracket_col)
+        literal = _parse_matrix_literal(body, lineno, bracket_col)
+        rest = rest.strip()
+    qubits = []
+    for tok in rest.split():
+        try:
+            qubits.append(int(tok))
+        except ValueError:
+            raise CircuitParseError(f"invalid qubit argument {tok!r}", lineno, col) from None
+    try:
+        gate = build_gate(name, params, qubits, n_qubits, matrix=literal)
+    except ValueError as exc:
+        raise CircuitParseError(str(exc), lineno, col) from None
+    # Complete-mode edges: each non-null entry once per setting of the other qubits.
+    return gate, (np.count_nonzero(np.abs(gate.matrix) > EDGE_TOL)
+                  << (n_qubits - len(gate.targets)))
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text (see the module docstring for the grammar)."""
     n_qubits = None
     input_amps = None
     input_seen = False
     gates = []
+    built = {}  # statement text -> (Gate, complete-mode edge count)
     n_edges = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
@@ -349,39 +395,11 @@ def parse_circuit(text: str) -> Circuit:
                 input_amps[index] = 1.0
             continue
 
-        # Gate statement.
-        match = _GATE_HEAD_RE.match(head)
-        if not match:
-            raise CircuitParseError(f"cannot parse gate name {head!r}", lineno, col)
-        name = match.group(1).lower()
-        params = ()
-        if match.group(2) is not None:
-            try:
-                params = tuple(parse_number(p) for p in match.group(2).split(","))
-            except FormatError as exc:
-                raise CircuitParseError(str(exc), lineno, col) from None
-        literal = None
-        if name == "matrix":
-            bracket_col = col + len(head) + 1
-            if not rest.startswith("["):
-                raise CircuitParseError("matrix gate needs a [[...]] literal", lineno, bracket_col)
-            body, rest = _extract_bracketed(rest, lineno, bracket_col)
-            literal = _parse_matrix_literal(body, lineno, bracket_col)
-            rest = rest.strip()
-        arg_tokens = rest.split() if rest else []
-        qubits = []
-        for tok in arg_tokens:
-            try:
-                qubits.append(int(tok))
-            except ValueError:
-                raise CircuitParseError(f"invalid qubit argument {tok!r}", lineno, col) from None
-        try:
-            gate = build_gate(name, params, qubits, n_qubits, matrix=literal)
-        except ValueError as exc:
-            raise CircuitParseError(str(exc), lineno, col) from None
-        # Complete-mode edges: each non-null entry once per setting of the other qubits.
-        n_edges += (np.count_nonzero(np.abs(gate.matrix) > EDGE_TOL)
-                    << (n_qubits - len(gate.targets)))
+        # Gate statement: identical statement text builds one shared Gate.
+        if stripped not in built:
+            built[stripped] = _gate_statement(head, rest, n_qubits, lineno, col)
+        gate, edge_count = built[stripped]
+        n_edges += edge_count
         if n_edges > MAX_DIAGRAM_EDGES:
             raise CircuitParseError(
                 f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges", lineno, col)
@@ -499,11 +517,15 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     layers = []
     n_edges = 0
     for index, gate in enumerate(circuit.gates):
-        src, dst, amp = _gate_edges(gate, circuit.n_qubits)
-        n_edges += src.size
+        g = gate.matrix
+        pattern = (np.abs(g) > EDGE_TOL).tobytes()  # one byte, 0 or 1, per entry
+        # Counted before the layout is built, so a gate over the cap never caches one.
+        n_edges += pattern.count(1) << (circuit.n_qubits - len(gate.targets))
         if n_edges > MAX_DIAGRAM_EDGES:
             raise ValueError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges "
                              f"at gate {index} ({gate.label})")
+        src, dst, entry = _edge_layout(circuit.n_qubits, gate.targets, pattern)
+        amp = g.ravel()[entry]
         psi = _apply_edges(psi, src, dst, amp)
         reached = active[src]
         active = np.zeros(psi.size, dtype=bool)

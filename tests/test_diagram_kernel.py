@@ -4,14 +4,18 @@ Random circuits over the whole gate set (n <= 7, both modes, basis and
 custom inputs) must give the oracle's edges, labels and activity exactly,
 its amplitudes to 1e-12, and renders byte-identical to the per-layer
 reference renderers below, and their final active lines must cover the
-simulated support.  A guard test keeps the dense immersion out of the
-n = 10 hot path.
+simulated support.  Circuits parsed from a small pool of repeated
+statements must match the oracle of the same circuit built gate by gate,
+while building each distinct statement once.  A guard test keeps the dense
+immersion out of the n = 10 hot path.
 """
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +32,7 @@ from qsdiag import (
     render_text,
     simulate,
 )
-from qsdiag.diagram import EDGE_TOL, DiagramLayer, LineActivity, StateDiagram
+from qsdiag.diagram import EDGE_TOL, DiagramLayer, Gate, LineActivity, StateDiagram
 from test_diagram import diagram_oracle
 
 # name -> (parameters, qubits); every base gate also comes in its c-prefixed form.
@@ -190,11 +194,11 @@ def circuits(draw):
     return Circuit(n, tuple(gates), state)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(circuit=circuits(), mode=st.sampled_from(["complete", "simplified"]))
-def test_kernel_matches_dense_oracle(circuit, mode):
+def check_against_oracle(circuit, mode, reference=None):
+    """The kernel's diagram, state and renders of `circuit` against the dense
+    oracle of `reference` (by default the circuit itself)."""
     diag = build_diagram(circuit, mode=mode)
-    layers, boundaries = diagram_oracle(circuit, mode)
+    layers, boundaries = diagram_oracle(reference or circuit, mode)
     assert [(layer.label, list(layer.edges)) for layer in diag.layers] == layers
     assert [list(b.active) for b in diag.boundaries] == [a for a, _ in boundaries]
     dense = np.array([amps for _, amps in boundaries])
@@ -211,6 +215,92 @@ def test_kernel_matches_dense_oracle(circuit, mode):
     )
     assert render_text(diag) == render_text_oracle(oracle)
     assert render_svg(diag) == render_svg_oracle(oracle)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(circuit=circuits(), mode=st.sampled_from(["complete", "simplified"]))
+def test_kernel_matches_dense_oracle(circuit, mode):
+    check_against_oracle(circuit, mode)
+
+
+def _literal_text(matrix):
+    return "[" + ",".join("[" + ",".join(repr(complex(z)) for z in row) + "]"
+                          for row in matrix) + "]"
+
+
+def _statement_text(name, params, qubits, matrix):
+    head = f"matrix {_literal_text(matrix)}" if name == "matrix" else name
+    if params:
+        head += "(" + ",".join(repr(p) for p in params) + ")"
+    return head + " " + " ".join(str(q) for q in qubits)
+
+
+@st.composite
+def repeated_circuits(draw):
+    """(n, circuit text, statements): the text uses a small pool of statements,
+    each possibly many times, and `statements` lists the (name, params, qubits,
+    matrix) of every position.  The pool always holds two different 2x2
+    literals on one qubit (one label, two sets of values) and, from two
+    qubits up, draws controlled forms half the time."""
+    n = draw(st.integers(1, 5))
+    q = draw(st.integers(0, n - 1))
+    first, second = _matrix_literal(draw, 2), _matrix_literal(draw, 2)
+    if np.array_equal(first, second):
+        second = -second
+    pool = [("matrix", (), (q,), first), ("matrix", (), (q,), second)]
+    names = sorted(name for name, (_, k) in GATES.items() if k <= n)
+    controlled = [name for name in names if name.startswith("c")]
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(controlled if controlled and draw(st.booleans()) else names))
+        n_params, arity = GATES[name]
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        pool.append((name, tuple(draw(ANGLES) for _ in range(n_params)), qubits, None))
+    statements = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                  min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        head = f"input {draw(st.integers(0, 2 ** n - 1))}"
+    else:
+        amps = random_pure(np.random.default_rng(draw(SEEDS)), n).amplitudes
+        head = "input [" + ", ".join(repr(complex(z)) for z in amps) + "]"
+    # Indents and comments are not part of a statement's text.
+    lines = [" " * draw(st.integers(0, 2)) + _statement_text(*statement)
+             + draw(st.sampled_from(["", "  # again"])) for statement in statements]
+    return n, "\n".join([f"qubits {n}", head, *lines]) + "\n", statements
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(drawn=repeated_circuits(), mode=st.sampled_from(["complete", "simplified"]))
+def test_repeated_statements_match_dense_oracle(drawn, mode):
+    n, text, statements = drawn
+    circuit = parse_circuit(text)
+    # Identical statement text is one shared Gate object, and only then.
+    assert len({id(gate) for gate in circuit.gates}) == len({_statement_text(*s)
+                                                             for s in statements})
+    reference = Circuit(n, tuple(build_gate(name, params, qubits, n, matrix=matrix)
+                                 for name, params, qubits, matrix in statements),
+                        circuit.input_state)
+    check_against_oracle(circuit, mode, reference)
+
+
+def test_each_distinct_statement_is_built_once(monkeypatch):
+    calls = []
+    build_gate_once = qsdiag.diagram.build_gate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_gate_once(*args, **kwargs)
+    monkeypatch.setattr(qsdiag.diagram, "build_gate", counted)
+    statements = ["h 0", "cx 0 1", "matrix [[0,1j],[1j,0]] 1"]
+    circuit = parse_circuit("qubits 2\n" + "\n".join(statements * 100) + "\n")
+    assert len(circuit.gates) == 300 and calls == ["h", "cx", "matrix"]
+    assert len({id(gate) for gate in circuit.gates}) == 3
+
+
+def test_gate_matrices_are_read_only():
+    circuit = parse_circuit("qubits 2\nh 0\ncx 0 1\nh 0\n")
+    assert circuit.gates[0] is circuit.gates[2]
+    with pytest.raises(ValueError, match="read-only"):
+        circuit.gates[0].matrix[0, 0] = 0
 
 
 def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):
@@ -269,6 +359,19 @@ def test_complete_mode_layers_share_read_only_layouts():
     for layer in (first, third):
         assert not layer.src.flags.writeable and not layer.dst.flags.writeable
     assert first.src is third.src and first.dst is third.dst
+
+
+def test_gate_over_the_cap_caches_no_layout():
+    # 4^10 non-null entries on all 10 qubits: 2^20 edges, four times the cap.
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    matrix = functools.reduce(np.kron, [h] * 10)
+    gate = Gate("h10", (), tuple(range(10)), tuple(range(10)), matrix)
+    circuit = Circuit(10, (gate,), basis_state(10, 0))
+    before = qsdiag.diagram._edge_layout.cache_info()
+    with pytest.raises(ValueError, match=r"exceeds the cap .* at gate 0 "):
+        build_diagram(circuit)
+    after = qsdiag.diagram._edge_layout.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_edge_layout_cache_stays_bounded():

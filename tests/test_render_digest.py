@@ -1,11 +1,14 @@
-"""Byte identity of the renderers, pinned by one digest.
+"""Byte identity of the renderers, pinned by two digests.
 
 Sixty seeded random circuits (1-6 qubits, every gate in the set, controlled
 forms and matrix literals, basis and custom inputs) are parsed from text and
 rendered as text and SVG in both modes; one SHA-256 covers all 240
-documents.  A change that must keep the output bytes keeps this digest.  The
-circuits are built from text with angles and literals written out in full,
-so the inputs do not depend on the random generator's floating-point path.
+documents.  A second SHA-256 covers forty circuits that repeat statements
+from small pools (two 2x2 literals on one qubit in every pool, custom
+inputs), where one parsed Gate stands at many positions.  A change that
+must keep the output bytes keeps both digests.  The circuits are built from
+text with angles and literals written out in full, so the inputs do not
+depend on the random generator's floating-point path.
 """
 
 import hashlib
@@ -27,6 +30,11 @@ EXACT_ANGLES = ("0", "pi/2", "pi", "3pi/2", "2pi", "-pi/2")
 N_CIRCUITS = 60
 SEED = 20261018
 DIGEST = "6160dbecfc32d0fc0ed140f7fdd6a839825c660751792d95e46739c908677e27"
+# Forty circuits drawn from small pools of repeated statements (see
+# `repeated_circuit_text`), pinned the same way.
+N_REPEATED_CIRCUITS = 40
+REPEATED_SEED = 20261019
+REPEATED_DIGEST = "d3758637d13cd8cbc454c7af8509184dbc67b0015f7d1b6b3f016f381fb131dc"
 
 
 def _literal(matrix) -> str:
@@ -57,36 +65,59 @@ def _matrix_gate(gen, n) -> str:
     return f"matrix {_literal(m)} " + " ".join(str(q) for q in qubits)
 
 
+def _input_line(gen, n) -> str:
+    if gen.integers(2):
+        return f"input {int(gen.integers(2 ** n))}"
+    amps = gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n)
+    amps /= np.linalg.norm(amps)
+    return "input [" + ", ".join(repr(complex(z)) for z in amps) + "]"
+
+
+def _statement(gen, n, names) -> str:
+    if gen.integers(5) == 0:
+        return _matrix_gate(gen, n)
+    name = names[int(gen.integers(len(names)))]
+    n_params, arity = GATES[name]
+    head = name
+    if n_params:
+        angle = (EXACT_ANGLES[int(gen.integers(len(EXACT_ANGLES)))] if gen.integers(2)
+                 else repr(float(gen.uniform(-2 * math.pi, 2 * math.pi))))
+        head += f"({angle})"
+    return head + " " + " ".join(str(q) for q in gen.permutation(n)[:arity])
+
+
 def random_circuit_text(gen) -> str:
     n = int(gen.integers(1, 7))
-    lines = [f"qubits {n}"]
-    if gen.integers(2):
-        lines.append(f"input {int(gen.integers(2 ** n))}")
-    else:
-        amps = gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n)
-        amps /= np.linalg.norm(amps)
-        lines.append("input [" + ", ".join(repr(complex(z)) for z in amps) + "]")
+    lines = [f"qubits {n}", _input_line(gen, n)]
     names = sorted(name for name, (_, k) in GATES.items() if k <= n)
-    for _ in range(int(gen.integers(0, 9))):
-        if gen.integers(5) == 0:
-            lines.append(_matrix_gate(gen, n))
-            continue
-        name = names[int(gen.integers(len(names)))]
-        n_params, arity = GATES[name]
-        head = name
-        if n_params:
-            angle = (EXACT_ANGLES[int(gen.integers(len(EXACT_ANGLES)))] if gen.integers(2)
-                     else repr(float(gen.uniform(-2 * math.pi, 2 * math.pi))))
-            head += f"({angle})"
-        lines.append(head + " " + " ".join(str(q) for q in gen.permutation(n)[:arity]))
+    lines.extend(_statement(gen, n, names) for _ in range(int(gen.integers(0, 9))))
     return "\n".join(lines) + "\n"
 
 
-def render_digest() -> str:
-    gen = np.random.default_rng(SEED)
+def repeated_circuit_text(gen) -> str:
+    """A circuit drawn from a small pool of statements, each used many times.
+
+    The pool always holds two different 2x2 literals on one qubit, whose
+    gates share a label but not their values; repeats may be indented or
+    carry a comment.
+    """
+    n = int(gen.integers(1, 7))
+    lines = [f"qubits {n}", _input_line(gen, n)]
+    names = sorted(name for name, (_, k) in GATES.items() if k <= n)
+    q = int(gen.integers(n))
+    pool = [f"matrix {_literal(_u2(gen))} {q}", f"matrix {_literal(_u2(gen))} {q}"]
+    pool.extend(_statement(gen, n, names) for _ in range(int(gen.integers(1, 5))))
+    for i in gen.integers(len(pool), size=int(gen.integers(4, 25))):
+        # Indents and comments are not part of a statement.
+        lines.append(" " * int(gen.integers(3)) + pool[int(i)] + "  # again" * int(gen.integers(2)))
+    return "\n".join(lines) + "\n"
+
+
+def render_digest(make_text=random_circuit_text, n_circuits=N_CIRCUITS, seed=SEED) -> str:
+    gen = np.random.default_rng(seed)
     h = hashlib.sha256()
-    for _ in range(N_CIRCUITS):
-        circuit = parse_circuit(random_circuit_text(gen))
+    for _ in range(n_circuits):
+        circuit = parse_circuit(make_text(gen))
         for mode in ("complete", "simplified"):
             diagram = build_diagram(circuit, mode=mode)
             h.update(render_text(diagram).encode())
@@ -96,3 +127,8 @@ def render_digest() -> str:
 
 def test_renders_keep_their_bytes():
     assert render_digest() == DIGEST
+
+
+def test_renders_of_repeated_statements_keep_their_bytes():
+    digest = render_digest(repeated_circuit_text, N_REPEATED_CIRCUITS, REPEATED_SEED)
+    assert digest == REPEATED_DIGEST

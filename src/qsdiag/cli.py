@@ -13,7 +13,8 @@ untraced; other qubit arguments are unusable (exit 2).  `evolve --steps` is
 capped at MAX_STEPS, and its channel must act on the state's dimension
 (exit 2).
 Input files are read as UTF-8; other bytes are malformed input (exit 2), as
-are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES`.
+are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target
+that cannot be written (a directory, a missing parent directory).
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -70,19 +71,15 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _load_matrix(path: str):
-    return matrix_from_json(_read_text(path))
-
-
 def _load_density(path: str, tol: float) -> DensityMatrix:
     return DensityMatrix(
-        _load_matrix(path), atol=max(tol, 1e-12), psd_tol=max(tol, 1e-10)
+        matrix_from_json(_read_text(path)), atol=max(tol, 1e-12), psd_tol=max(tol, 1e-10)
     )
 
 
 def cmd_validate(args) -> tuple:
     tol = _resolve_tol(args)
-    report = validate_density(_load_matrix(args.file), tol=tol)
+    report = validate_density(matrix_from_json(_read_text(args.file)), tol=tol)
     verdict = "PASS" if report.passed else "FAIL"
     text = (
         f"hermiticity defect: {report.hermiticity_defect:.6e}\n"
@@ -229,16 +226,16 @@ def main(argv=None) -> int:
         # Looked up by name on each call, not bound into the cached parser, so a
         # replaced module attribute (a tracing wrapper, a test double) takes effect.
         text, code = globals()[f"cmd_{args.command}"](args)
+        if args.out:
+            Path(args.out).write_text(text)
+            return code
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return code
 
 

@@ -18,26 +18,27 @@ arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
 bool `active` array and the complex `amplitudes` array.  The renderers read
 them directly and format each line's y and each boundary's x once.
 
-Where a gate's edges run depends only on the register size, the targets
-and which entries are non-null; the values only label them.  So
-`_edge_layout` caches, per key (n_qubits, targets, non-null mask), the
-read-only src/dst arrays and the gate entry each edge carries, and every
-gate only gathers its own values into that order.  Complete-mode layers
-hold the cached src/dst arrays themselves.  A layout of E edges takes
-24 * E bytes; E is at most 4 * 2^n for any gate the circuit syntax can
-express (a dense two-qubit literal), 96 KiB at n = 10, so the
-`_LAYOUT_CACHE_SIZE` = 128 layouts take at most 12 MiB.  A gate built in
-code on k > 2 qubits can have up to 4^k * 2^(n-k) edges; `build_diagram`
-counts them before it asks for the layout, so a gate past
-`MAX_DIAGRAM_EDGES` raises without caching one.
+A `Gate` is the one record of a gate: it holds its own read-only complex
+copy of the matrix and derives once its `label` and its non-null
+`pattern` (one byte per entry, 1 where |entry| > EDGE_TOL).  Where a
+gate's edges run depends only on the register size, the targets and that
+pattern; the values only label them.  So `_edge_layout` caches, per key
+(n_qubits, targets, pattern), the read-only src/dst arrays and the gate
+entry each edge carries, and every gate only gathers its own values into
+that order.  Complete-mode layers hold the cached src/dst arrays
+themselves.  A layout of E edges takes 24 * E bytes; E is at most 4 * 2^n
+for any gate the circuit syntax can express (a dense two-qubit literal),
+96 KiB at n = 10, so the `_LAYOUT_CACHE_SIZE` = 128 layouts take at most
+12 MiB.  A gate built in code on k > 2 qubits can have up to
+4^k * 2^(n-k) edges; `build_diagram` counts them before it asks for the
+layout, so a gate past `MAX_DIAGRAM_EDGES` raises without caching one.
 
 `parse_circuit` builds a repeated gate once per call: it keeps a dict from
 a statement's comment-free text to its Gate and edge count, so identical
-statements share one Gate object (its matrix is read-only).  The text
-includes any matrix literal, so two different literals never share a key,
-as they would under a key of gate name or label (`matrix 0` labels every
-2x2 literal on qubit 0 alike).  An error is never stored, and the edge cap
-is still checked on every line.
+statements share one Gate object.  The text includes any matrix literal,
+so two different literals never share a key, as they would under a key of
+gate name or label (`matrix 0` labels every 2x2 literal on qubit 0 alike).
+An error is never stored, and the edge cap is still checked on every line.
 
 The renderers gather the layers' edges into flat arrays once per diagram
 and do their array work on those, so the Python loop over layers only
@@ -56,6 +57,9 @@ Gate set: x y z h s t rx(t) ry(t) rz(t) phase(t) swap, controlled forms
 c<name> (control listed first), and matrix literals.  For multi-qubit
 gates the first listed qubit is the most significant index bit; an
 amplitude list for `input` is renormalized (rejected if off by > 1e-6).
+Lists follow one strict grammar: `input [...]` is one list `[a, b, ...]`
+with nothing after it, and a matrix literal is such lists, its rows,
+joined by single commas inside one more pair of brackets.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +90,7 @@ EDGE_TOL = 1e-12
 # Most complete-mode edges a circuit may have, checked by `parse_circuit` and
 # `build_diagram` (an SVG takes about 1 kB per edge).
 MAX_DIAGRAM_EDGES = 262_144
-# Edge layouts kept by `_edge_layout`, keyed by (n_qubits, targets, non-null mask).
+# Edge layouts kept by `_edge_layout`, keyed by (n_qubits, targets, pattern).
 _LAYOUT_CACHE_SIZE = 128
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -145,6 +149,9 @@ class Gate:
     `qubit_args` preserves the argument order as written (control first
     for controlled gates); `targets` is the same set sorted ascending and
     `matrix` is expressed with bit j of its index addressing targets[j].
+    The Gate holds its own read-only complex copy of `matrix`, and derives
+    once its display `label` and its non-null `pattern`: one byte, 0 or 1,
+    per entry in row-major order, 1 where |entry| > EDGE_TOL.
     """
 
     name: str
@@ -152,13 +159,18 @@ class Gate:
     qubit_args: tuple
     targets: tuple
     matrix: np.ndarray
+    label: str = field(init=False, repr=False, compare=False)
+    pattern: bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=complex)
+        matrix.flags.writeable = False  # one Gate may stand at many positions
         head = self.name
         if self.params:
             head += "(" + ",".join(f"{p:.6g}" for p in self.params) + ")"
-        return head + " " + " ".join(str(q) for q in self.qubit_args)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "label", head + " " + " ".join(str(q) for q in self.qubit_args))
+        object.__setattr__(self, "pattern", (np.abs(matrix) > EDGE_TOL).tobytes())
 
 
 @dataclass(frozen=True)
@@ -237,7 +249,6 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
     if len(qubits) != arity:
         raise ValueError(f"{name} acts on {arity} qubit(s), got {len(qubits)} argument(s)")
     targets, sorted_matrix = _reorder_to_sorted(full, qubits)
-    sorted_matrix.flags.writeable = False  # one Gate may stand at many positions
     return Gate(name, params, qubits, targets, sorted_matrix)
 
 
@@ -245,90 +256,60 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
 # Parser
 
 _GATE_HEAD_RE = re.compile(r"^([A-Za-z_]+)(?:\((.*?)\))?$")
+# The list grammar of the module docstring: one non-nested list, and a matrix literal.
+_LIST_RE = re.compile(r"\[([^][]*)\]")
+_MATRIX_RE = re.compile(rf"\[\s*{_LIST_RE.pattern}(?:\s*,\s*{_LIST_RE.pattern})*\s*\]")
 
 
-def _extract_bracketed(text: str, line: int, col: int) -> tuple:
-    """Split "[...]...rest" into the bracket body and the remainder."""
-    if not text.startswith("["):
-        raise CircuitParseError("expected '[' to open a list", line, col)
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                return text[1:pos], text[pos + 1:]
-    raise CircuitParseError("unbalanced brackets", line, col)
+def _parse_list(body: str) -> list:
+    """The complex entries of one list's comma-separated body."""
+    return [parse_complex(item) for item in body.split(",")]
 
 
-def _parse_matrix_literal(body: str, line: int, col: int) -> np.ndarray:
-    rows, depth, cur = [], 0, ""
-    for ch in body:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                cur = ""
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append(cur)
-                continue
-        if depth >= 1:
-            cur += ch
-    if depth != 0 or not rows:
-        raise CircuitParseError("malformed matrix literal", line, col)
+def _gate_statement(head: str, rest: str, n_qubits: int, lineno: int, col: int) -> Gate:
+    """Build a gate statement's Gate.
+
+    Errors name the statement's column, or the bracket's for a matrix literal.
+    """
+    at = col
     try:
-        data = [[parse_complex(item) for item in row.split(",")] for row in rows]
-    except FormatError as exc:
-        raise CircuitParseError(str(exc), line, col) from None
-    size = len(data)
-    if any(len(r) != size for r in data):
-        raise CircuitParseError("matrix literal rows have uneven lengths", line, col)
-    return np.array(data, dtype=complex)
-
-
-def _gate_statement(head: str, rest: str, n_qubits: int, lineno: int, col: int) -> tuple:
-    """Build a gate statement's Gate and count its complete-mode edges."""
-    match = _GATE_HEAD_RE.match(head)
-    if not match:
-        raise CircuitParseError(f"cannot parse gate name {head!r}", lineno, col)
-    name = match.group(1).lower()
-    params = ()
-    if match.group(2) is not None:
-        try:
+        match = _GATE_HEAD_RE.match(head)
+        if not match:
+            raise ValueError(f"cannot parse gate name {head!r}")
+        name = match.group(1).lower()
+        params = ()
+        if match.group(2) is not None:
             params = tuple(parse_number(p) for p in match.group(2).split(","))
-        except FormatError as exc:
-            raise CircuitParseError(str(exc), lineno, col) from None
-    literal = None
-    if name == "matrix":
-        bracket_col = col + len(head) + 1
-        if not rest.startswith("["):
-            raise CircuitParseError("matrix gate needs a [[...]] literal", lineno, bracket_col)
-        body, rest = _extract_bracketed(rest, lineno, bracket_col)
-        literal = _parse_matrix_literal(body, lineno, bracket_col)
-        rest = rest.strip()
-    qubits = []
-    for tok in rest.split():
-        try:
-            qubits.append(int(tok))
-        except ValueError:
-            raise CircuitParseError(f"invalid qubit argument {tok!r}", lineno, col) from None
-    try:
-        gate = build_gate(name, params, qubits, n_qubits, matrix=literal)
+        literal = None
+        if name == "matrix":
+            at = col + len(head) + 1
+            found = _MATRIX_RE.match(rest)
+            if found is None:
+                raise ValueError("matrix gate needs a [[row], [row], ...] literal")
+            literal = [_parse_list(row) for row in _LIST_RE.findall(found.group())]
+            if any(len(row) != len(literal) for row in literal):
+                raise ValueError("matrix literal rows have uneven lengths")
+            at, rest = col, rest[found.end():]
+        qubits = []
+        for tok in rest.split():
+            try:
+                qubits.append(int(tok))
+            except ValueError:
+                raise ValueError(f"invalid qubit argument {tok!r}") from None
+        return build_gate(name, params, qubits, n_qubits, matrix=literal)
     except ValueError as exc:
-        raise CircuitParseError(str(exc), lineno, col) from None
-    # Complete-mode edges: each non-null entry once per setting of the other qubits.
-    return gate, (np.count_nonzero(np.abs(gate.matrix) > EDGE_TOL)
-                  << (n_qubits - len(gate.targets)))
+        raise CircuitParseError(str(exc), lineno, at) from None
+
+
+def _edge_count(gate: Gate, n_qubits: int) -> int:
+    """Complete-mode edges: each non-null entry once per setting of the other qubits."""
+    return gate.pattern.count(1) << (n_qubits - len(gate.targets))
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text (see the module docstring for the grammar)."""
     n_qubits = None
     input_amps = None
-    input_seen = False
     gates = []
     built = {}  # statement text -> (Gate, complete-mode edge count)
     n_edges = 0
@@ -358,19 +339,17 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError("duplicate 'qubits' directive", lineno, col)
 
         if head == "input":
-            if input_seen:
+            if input_amps is not None:
                 raise CircuitParseError("duplicate 'input' directive", lineno, col)
             if gates:
                 raise CircuitParseError("'input' must precede all gates", lineno, col)
-            input_seen = True
             dim = 1 << n_qubits
             if rest.startswith("["):
-                body, tail = _extract_bracketed(rest, lineno, col)
-                if tail.strip():
-                    raise CircuitParseError(
-                        f"unexpected text after amplitude list: {tail.strip()!r}", lineno, col)
+                match = _LIST_RE.fullmatch(rest)
+                if match is None:
+                    raise CircuitParseError(f"malformed amplitude list {rest!r}", lineno, col)
                 try:
-                    amps = np.array([parse_complex(p) for p in body.split(",")], dtype=complex)
+                    amps = np.array(_parse_list(match.group(1)), dtype=complex)
                 except FormatError as exc:
                     raise CircuitParseError(str(exc), lineno, col) from None
                 if amps.size != dim:
@@ -397,7 +376,8 @@ def parse_circuit(text: str) -> Circuit:
 
         # Gate statement: identical statement text builds one shared Gate.
         if stripped not in built:
-            built[stripped] = _gate_statement(head, rest, n_qubits, lineno, col)
+            gate = _gate_statement(head, rest, n_qubits, lineno, col)
+            built[stripped] = gate, _edge_count(gate, n_qubits)
         gate, edge_count = built[stripped]
         n_edges += edge_count
         if n_edges > MAX_DIAGRAM_EDGES:
@@ -418,17 +398,17 @@ def parse_circuit(text: str) -> Circuit:
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _edge_layout(n_qubits: int, targets: tuple, mask_bytes: bytes) -> tuple:
+def _edge_layout(n_qubits: int, targets: tuple, pattern: bytes) -> tuple:
     """Where a gate's edges run: read-only (src, dst, entry) arrays sorted by (src, dst).
 
     The immersion maps line tt[c] + off to line tt[r] + off for every entry
-    (r, c) of the gate's non-null mask (`mask_bytes`, row-major) and every
+    (r, c) of the gate's non-null `pattern` (`Gate.pattern`) and every
     offset `off` that assigns the qubits outside the gate (tt and the offsets
     are the scatter tables of the targets and of the other qubits); `entry`
     is r * 2^k + c, the flat index of the gate entry each edge carries.
     """
     dim = 1 << len(targets)
-    r, c = np.nonzero(np.frombuffer(mask_bytes, dtype=bool).reshape(dim, dim))
+    r, c = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(dim, dim))
     tt = _scatter_table(targets)
     rest = _scatter_table(tuple(q for q in range(n_qubits) if q not in targets))
     src = (tt[c][:, None] + rest).ravel()
@@ -442,9 +422,8 @@ def _edge_layout(n_qubits: int, targets: tuple, mask_bytes: bytes) -> tuple:
 
 def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
     """Edges of the gate's immersed unitary as (src, dst, amp) arrays, sorted by (src, dst)."""
-    g = gate.matrix
-    src, dst, entry = _edge_layout(n_qubits, gate.targets, (np.abs(g) > EDGE_TOL).tobytes())
-    return src, dst, g.ravel()[entry]
+    src, dst, entry = _edge_layout(n_qubits, gate.targets, gate.pattern)
+    return src, dst, gate.matrix.ravel()[entry]
 
 
 def _apply_edges(psi: np.ndarray, src, dst, amp) -> np.ndarray:
@@ -517,15 +496,12 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     layers = []
     n_edges = 0
     for index, gate in enumerate(circuit.gates):
-        g = gate.matrix
-        pattern = (np.abs(g) > EDGE_TOL).tobytes()  # one byte, 0 or 1, per entry
         # Counted before the layout is built, so a gate over the cap never caches one.
-        n_edges += pattern.count(1) << (circuit.n_qubits - len(gate.targets))
+        n_edges += _edge_count(gate, circuit.n_qubits)
         if n_edges > MAX_DIAGRAM_EDGES:
             raise ValueError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges "
                              f"at gate {index} ({gate.label})")
-        src, dst, entry = _edge_layout(circuit.n_qubits, gate.targets, pattern)
-        amp = g.ravel()[entry]
+        src, dst, amp = _gate_edges(gate, circuit.n_qubits)
         psi = _apply_edges(psi, src, dst, amp)
         reached = active[src]
         active = np.zeros(psi.size, dtype=bool)
@@ -557,9 +533,9 @@ def _fmt_amp(z: complex) -> str:
 
 
 def _input_label(diagram: StateDiagram) -> str:
-    amps = diagram.boundaries[0].amplitudes
-    hot = np.flatnonzero(np.abs(amps) > EDGE_TOL)
-    if hot.size == 1 and abs(amps[hot[0]] - 1.0) < 1e-9:
+    first = diagram.boundaries[0]
+    hot = np.flatnonzero(first.active)
+    if hot.size == 1 and abs(first.amplitudes[hot[0]] - 1.0) < 1e-9:
         return f"|{hot[0]:0{diagram.n_qubits}b}>"
     return "custom"
 

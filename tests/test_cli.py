@@ -344,6 +344,11 @@ def test_out_flag_writes_file(rho_file, tmp_path, capsys):
         math.pi / 4)
 
 
+@pytest.mark.parametrize("target", [".", "missing/report.txt"], ids=["directory", "missing-dir"])
+def test_unwritable_out_target_is_usage_error(rho_file, tmp_path, capsys, target):
+    assert one_usage_error(*run(capsys, "validate", rho_file, "--out", str(tmp_path / target)))
+
+
 def test_tol_flag_accepts_pi_fractions(rho_file, capsys):
     code, out, _ = run(capsys, "validate", rho_file, "--tol", "pi/4")
     assert code == 0

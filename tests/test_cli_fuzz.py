@@ -2,10 +2,13 @@
 
 Golden circuits, matrix JSON and channel spec strings are mutated by byte
 insertion, deletion and duplication and by swapping a word for an extreme
-token, then fed to `cli.main`.  Whatever the input, the call returns exit
+token, then fed to `cli.main`, with the payload sent to stdout, to an
+`--out` file, or to an `--out` target that cannot be written (a directory, a
+path under a missing directory).  Whatever the input, the call returns exit
 code 0, 1 or 2 without raising or warning, within a fixed wall time; a
-non-zero exit writes nothing on stdout and ends stderr with an `error:` line,
-except `validate`, whose failed verdict is its report on stdout.
+non-zero exit writes no payload and ends stderr with an `error:` line,
+except `validate`, whose failed verdict is its report; an `--out` payload
+never reaches stdout, and an unwritable target always exits 2.
 """
 
 import contextlib
@@ -93,15 +96,24 @@ def cases(draw):
     return ["evolve", "FILE", spec], MATRICES[0]
 
 
+# Where the payload goes: stdout, an --out file, or an --out target that cannot be written.
+TARGETS = (None, "file", "directory", "missing")
+UNWRITABLE = ("directory", "missing")
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(cases())
-def test_cli_contract_holds_on_mutated_input(case):
+@given(cases(), st.sampled_from(TARGETS))
+def test_cli_contract_holds_on_mutated_input(case, target):
     argv, payload = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         if payload is not None:
             path.write_bytes(payload)
         argv = [str(path) if a == "FILE" else a for a in argv]
+        out_path = {"file": Path(tmp) / "output", "directory": Path(tmp),
+                    "missing": Path(tmp) / "missing" / "output"}.get(target)
+        if out_path is not None:
+            argv += ["--out", str(out_path)]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -109,10 +121,16 @@ def test_cli_contract_holds_on_mutated_input(case):
             start = time.perf_counter()
             code = main(argv)
             elapsed = time.perf_counter() - start
+        written = out_path.read_text() if target == "file" and out_path.exists() else ""
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     assert [str(w.message) for w in caught] == []
     assert elapsed < WALL_S
+    if target is not None:
+        assert out == ""
+        out = written
+    if target in UNWRITABLE:
+        assert code == 2
     if code == 0:
         return
     if argv[0] == "validate" and code == 1:

@@ -82,8 +82,9 @@ def test_parse_controlled_gate_orders_control_first():
 
 
 def test_parse_matrix_literal():
-    circ = parse_circuit("qubits 1\nmatrix [[0,1],[1,0]] 0\n")
-    assert np.array_equal(circ.gates[0].matrix, np.array([[0, 1], [1, 0]]))
+    for literal in ("[[0,1],[1,0]]", "[ [0,1] , [1,0] ]"):
+        circ = parse_circuit(f"qubits 1\nmatrix {literal} 0\n")
+        assert np.array_equal(circ.gates[0].matrix, np.array([[0, 1], [1, 0]]))
 
 
 def test_parse_matrix_literal_rejects_non_unitary():
@@ -107,6 +108,9 @@ def test_parse_matrix_literal_rejects_non_unitary():
     ("qubits 1\nrx(inf) 0\n", "line 2, column 1: number 'inf' is not finite"),
     ("qubits 1\ninput [nan, 1]\n", "line 2, column 1: complex number 'nan' is not finite"),
     ("qubits 1\nmatrix [[nan,0],[0,1]] 0\n", "line 2, column 8: complex number 'nan'"),
+    ("qubits 1\nmatrix [[0,1]junk[1,0]] 0\n", "line 2"),   # only commas separate rows
+    ("qubits 1\nmatrix [[0,1][1,0]] 0\n", "line 2"),
+    ("qubits 1\nmatrix [[0,1],,[1,0]] 0\n", "line 2"),
 ])
 def test_parse_error_cases(text, fragment):
     with pytest.raises(CircuitParseError) as err:

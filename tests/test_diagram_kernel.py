@@ -294,6 +294,10 @@ def test_each_distinct_statement_is_built_once(monkeypatch):
     circuit = parse_circuit("qubits 2\n" + "\n".join(statements * 100) + "\n")
     assert len(circuit.gates) == 300 and calls == ["h", "cx", "matrix"]
     assert len({id(gate) for gate in circuit.gates}) == 3
+    # Each Gate derives its label once, so every position of a statement shows one string.
+    layers = build_diagram(circuit).layers
+    for first, gate in enumerate(circuit.gates[:3]):
+        assert all(layer.label is gate.label for layer in layers[first::3])
 
 
 def test_gate_matrices_are_read_only():
@@ -301,6 +305,28 @@ def test_gate_matrices_are_read_only():
     assert circuit.gates[0] is circuit.gates[2]
     with pytest.raises(ValueError, match="read-only"):
         circuit.gates[0].matrix[0, 0] = 0
+    # A Gate built in code holds its own complex copy: the caller's array stays the caller's.
+    owned = np.array([[0, 1], [1, 0]])
+    gate = Gate("flip", (), (0,), (0,), owned)
+    owned[:] = [[1, 0], [0, 1]]
+    assert gate.matrix.dtype == complex and not gate.matrix.flags.writeable
+    assert np.array_equal(gate.matrix, [[0, 1], [1, 0]])
+    assert build_diagram(Circuit(1, (gate,), basis_state(1, 0))).layers[0].edges == (
+        (0, 1, 1), (1, 0, 1))
+
+
+def test_one_layout_lookup_per_gate_position():
+    def lookups():
+        info = qsdiag.diagram._edge_layout.cache_info()
+        return info.hits + info.misses
+
+    before = lookups()
+    circuit = parse_circuit("qubits 3\n" + "h 0\ncx 0 2\nrz(0.5) 1\n" * 20)
+    assert lookups() == before
+    build_diagram(circuit, mode="simplified")
+    assert lookups() == before + len(circuit.gates)
+    simulate(circuit)
+    assert lookups() == before + 2 * len(circuit.gates)
 
 
 def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):

@@ -50,7 +50,7 @@ def dm_from_bloch(vector) -> DensityMatrix:
     return DensityMatrix(m, psd_tol=max(1e-12, 2 * NORM_SLACK))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochAffineMap:
     """Affine action v -> M v + c of a channel on Bloch coordinates."""
 
@@ -80,7 +80,7 @@ def affine_map_of_channel(channel: KrausChannel) -> BlochAffineMap:
     return BlochAffineMap(np.column_stack(columns), center)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapDecomposition:
     """Factorization M = O1 D O2^T with O1, O2 orthogonal and D diagonal."""
 

@@ -29,35 +29,20 @@ import numpy as np
 from .core import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, FormatError, parse_complex, parse_number
 from .kraus import KrausChannel, prune_operators
 
-DEFORMATION_KINDS = ("bit_flip", "bit_phase_flip", "phase_flip")
-ROTATION_KINDS = ("rotation_x", "rotation_y", "rotation_z")
-AMP_DAMP_KINDS = tuple(
-    f"amp_damp_{axis}_{sign}" for axis in "xyz" for sign in ("plus", "minus")
-)
-CHANNEL_KINDS = frozenset(
-    ROTATION_KINDS
-    + DEFORMATION_KINDS
-    + AMP_DAMP_KINDS
-    + ("depolarizing_general", "depolarizing_standard")
-)
+# Pauli index of the flip each deformation channel applies.
+_DEFORMATION_AXES = {"bit_flip": 1, "bit_phase_flip": 2, "phase_flip": 3}
+_PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# Channels whose Kraus weights are cos(theta/2) / sin(theta/2) only cover
-# distinct actions for theta in [0, pi]; reject anything outside.
-_BOUNDED_THETA_KINDS = frozenset(
-    DEFORMATION_KINDS + AMP_DAMP_KINDS + ("depolarizing_standard",)
-)
-
-_DEFORMATION_AXES = {"bit_flip": SIGMA_X, "bit_phase_flip": SIGMA_Y, "phase_flip": SIGMA_Z}
-
-# Basis-change unitaries that carry |0> onto the target pole of the x / y
-# axes; conjugating the z-axis damping operators with these produces the
-# x / y displacement channels.
+# Basis-change unitaries that carry |0> onto each pole; conjugating the
+# z/plus damping operators with these produces all six damping channels.
 _SQ2 = 1.0 / math.sqrt(2.0)
 _POLE_FRAMES = {
     ("x", "plus"): np.array([[1, -1], [1, 1]], dtype=complex) * _SQ2,
     ("x", "minus"): np.array([[1, 1], [-1, 1]], dtype=complex) * _SQ2,
     ("y", "plus"): np.array([[1, 1j], [1j, 1]], dtype=complex) * _SQ2,
     ("y", "minus"): np.array([[1, -1j], [-1j, 1]], dtype=complex) * _SQ2,
+    ("z", "plus"): I2,
+    ("z", "minus"): SIGMA_X,
 }
 
 
@@ -75,7 +60,7 @@ class ChannelSpec:
     env_amplitudes: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         _check_bounded_theta(self.kind, self.theta)
         if self.kind == "depolarizing_general":
@@ -121,10 +106,9 @@ def make_deformation(kind: str, theta: float) -> KrausChannel:
     if kind not in _DEFORMATION_AXES:
         raise ValueError(f"unknown deformation kind {kind!r}")
     _check_bounded_theta(kind, theta)
-    c = abs(math.cos(theta / 2.0))
-    s = abs(math.sin(theta / 2.0))
-    ops = prune_operators([c * I2, s * _DEFORMATION_AXES[kind]])
-    return KrausChannel(tuple(ops), name=kind)
+    weights = [abs(math.cos(theta / 2.0)), 0.0, 0.0, 0.0]
+    weights[_DEFORMATION_AXES[kind]] = abs(math.sin(theta / 2.0))
+    return _pauli_channel(kind, weights)
 
 
 def make_amp_damp(axis: str, sign: str, theta: float) -> KrausChannel:
@@ -132,33 +116,20 @@ def make_amp_damp(axis: str, sign: str, theta: float) -> KrausChannel:
 
     The z/plus channel (pole |0><0|) has operators
 
-        F_0 = [[1, 0], [0, cos(theta/2)]],  F_1 = [[0, sin(theta/2)], [0, 0]]
+        F_0 = [[1, 0], [0, cos(theta/2)]],  F_1 = [[0, sin(theta/2)], [0, 0]].
 
-    and z/minus (pole |1><1|) the mirrored pair
-
-        F_0 = [[cos(theta/2), 0], [0, 1]],  F_1 = [[0, 0], [sin(theta/2), 0]].
-
-    The x and y variants conjugate the z/plus operators with the basis
-    change U that maps |0> to the requested pole: F -> U F U^dagger.
+    Every pole conjugates this pair with the basis change U that maps |0>
+    to it, F -> U F U^dagger: U is 1 for z/plus, sigma_x for z/minus, and a
+    Hadamard-like frame for the x and y poles.
     """
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    if (axis, sign) not in _POLE_FRAMES:
+        raise ValueError(f"no pole {axis!r}/{sign!r}: axis is x, y or z, sign plus or minus")
     name = f"amp_damp_{axis}_{sign}"
     _check_bounded_theta(name, theta)
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    if axis == "z" and sign == "plus":
-        ops = [np.array([[1, 0], [0, c]], dtype=complex),
-               np.array([[0, s], [0, 0]], dtype=complex)]
-    elif axis == "z" and sign == "minus":
-        ops = [np.array([[c, 0], [0, 1]], dtype=complex),
-               np.array([[0, 0], [s, 0]], dtype=complex)]
-    else:
-        frame = _POLE_FRAMES[(axis, sign)]
-        base = make_amp_damp("z", "plus", theta).operators
-        ops = [frame @ op @ frame.conj().T for op in base]
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    frame = _POLE_FRAMES[(axis, sign)]
+    ops = [frame @ np.array(op, dtype=complex) @ frame.conj().T
+           for op in ([[1, 0], [0, c]], [[0, s], [0, 0]])]
     return KrausChannel(tuple(prune_operators(ops)), name=name)
 
 
@@ -174,14 +145,8 @@ def make_depolarizing_general(env_amplitudes) -> KrausChannel:
     Environment phases are accepted and ignored.  Zero-weight operators
     are pruned.
     """
-    weights = [abs(a) for a in _normalized_env(env_amplitudes)]
-    ops = prune_operators([
-        weights[0] * I2,
-        weights[1] * SIGMA_X,
-        weights[2] * SIGMA_Y,
-        weights[3] * SIGMA_Z,
-    ])
-    return KrausChannel(tuple(ops), name="depolarizing_general")
+    return _pauli_channel("depolarizing_general",
+                          [abs(a) for a in _normalized_env(env_amplitudes)])
 
 
 def make_depolarizing_standard(theta: float) -> KrausChannel:
@@ -189,20 +154,40 @@ def make_depolarizing_standard(theta: float) -> KrausChannel:
 
     Operators cos(theta) 1 and (sin(theta)/sqrt(3)) sigma_{x,y,z}; every
     Bloch component shrinks by 1 - (4/3) sin(theta)^2, so theta <= pi/2
-    already covers all distinct actions (larger angles retrace them).
+    already covers all distinct actions; theta up to pi is accepted and
+    retraces them.
     """
     _check_bounded_theta("depolarizing_standard", theta)
-    c = math.cos(theta)
     s = math.sin(theta) / math.sqrt(3.0)
-    ops = prune_operators([c * I2, s * SIGMA_X, s * SIGMA_Y, s * SIGMA_Z])
-    return KrausChannel(tuple(ops), name="depolarizing_standard")
+    return _pauli_channel("depolarizing_standard", [math.cos(theta), s, s, s])
+
+
+def _pauli_channel(name: str, weights) -> KrausChannel:
+    """The operators w0 1, w1 sigma_x, w2 sigma_y, w3 sigma_z, vanishing ones pruned."""
+    ops = prune_operators([w * pauli for w, pauli in zip(weights, _PAULIS)])
+    return KrausChannel(tuple(ops), name=name)
+
+
+# kind -> (factory from a ChannelSpec, whether theta is restricted to [0, pi]).
+# Kinds with cos(theta/2) / sin(theta/2) weights cover every distinct action
+# in [0, pi]; rotations take any finite angle; depolarizing_general ignores it.
+_KINDS = {
+    **{f"rotation_{a}": (lambda spec, a=a: make_rotation(a, spec.theta), False) for a in "xyz"},
+    **{k: (lambda spec, k=k: make_deformation(k, spec.theta), True) for k in _DEFORMATION_AXES},
+    **{f"amp_damp_{a}_{s}": (lambda spec, a=a, s=s: make_amp_damp(a, s, spec.theta), True)
+       for a, s in _POLE_FRAMES},
+    "depolarizing_general": (lambda spec: make_depolarizing_general(spec.env_amplitudes), False),
+    "depolarizing_standard": (lambda spec: make_depolarizing_standard(spec.theta), True),
+}
+CHANNEL_KINDS = frozenset(_KINDS)
+ROTATION_KINDS = tuple(kind for kind in _KINDS if kind.startswith("rotation_"))
 
 
 def _check_bounded_theta(kind: str, theta: float):
     """Require a finite theta, and theta in [0, pi] for the bounded kinds."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if kind in _BOUNDED_THETA_KINDS and not 0.0 <= theta <= math.pi + 1e-12:
+    if _KINDS[kind][1] and not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError(f"{kind} requires theta in [0, pi], got {theta!r}")
 
 
@@ -220,19 +205,7 @@ def _normalized_env(env_amplitudes) -> tuple:
 
 def channel_from_spec(spec: ChannelSpec) -> KrausChannel:
     """Instantiate the channel described by a ChannelSpec."""
-    kind = spec.kind
-    if kind in ROTATION_KINDS:
-        return make_rotation(kind[-1], spec.theta)
-    if kind in DEFORMATION_KINDS:
-        return make_deformation(kind, spec.theta)
-    if kind in AMP_DAMP_KINDS:
-        _, _, axis, sign = kind.split("_")
-        return make_amp_damp(axis, sign, spec.theta)
-    if kind == "depolarizing_general":
-        return make_depolarizing_general(spec.env_amplitudes)
-    if kind == "depolarizing_standard":
-        return make_depolarizing_standard(spec.theta)
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return _KINDS[spec.kind][0](spec)
 
 
 def parse_channel_spec(text: str) -> ChannelSpec:
@@ -249,8 +222,6 @@ def parse_channel_spec(text: str) -> ChannelSpec:
             f"channel spec {text!r} must look like kind:theta or kind:theta:a,b,c,d"
         )
     kind = parts[0].strip()
-    if kind not in CHANNEL_KINDS:
-        raise FormatError(f"unknown channel kind {kind!r}")
     theta = parse_number(parts[1])
     amps = None
     if len(parts) == 3:

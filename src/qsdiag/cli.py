@@ -4,17 +4,20 @@ Subcommands: validate, evolve, purify, trace, ellipsoid, diagram.
 Matrices travel as JSON ({"rows", "cols", "re", "im"}), channels as
 "kind:theta[:a,b,c,d]" spec strings, ellipsoids as x,y,z CSV and circuits
 in the text format of `qsdiag.diagram`.  Numeric flags accept finite
-decimals or pi-fractions such as "pi/4".  The validation tolerance comes
-from --tol, else the QSDIAG_TOL environment variable, else 1e-10; it must
-be non-negative and below 1.  `ellipsoid --grid` needs at least 2x2 and is
-capped at MAX_GRID_POINTS points; other grids are unusable flags (exit 2).
+decimals or pi-fractions such as "pi/4".  validate, evolve, purify and
+trace take a validation tolerance from --tol, else the QSDIAG_TOL
+environment variable, else 1e-10; it must be non-negative and below 1.
+ellipsoid and diagram validate no matrix and take no --tol.
+`ellipsoid --grid` needs at least 2x2 and is capped at MAX_GRID_POINTS
+points; other grids are unusable flags (exit 2).
 `trace` qubit arguments must name existing qubits and leave at least one
 untraced; other qubit arguments are unusable (exit 2).  `evolve --steps` is
 capped at MAX_STEPS, and its channel must act on the state's dimension
 (exit 2).
 Input files are read as UTF-8; other bytes are malformed input (exit 2), as
 are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target
-that cannot be written (a directory, a missing parent directory).
+that cannot be written (a directory, a missing parent directory), which is
+checked before the subcommand runs.
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags.
@@ -69,6 +72,15 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _check_out_target(path: str):
+    """Refuse an unwritable --out target (exit 2) before the command does any work."""
+    target = Path(path)
+    if target.is_dir():
+        raise FormatError(f"--out target {path!r} is a directory")
+    if not target.parent.is_dir():
+        raise FormatError(f"--out target {path!r} is in a missing directory")
 
 
 def _load_density(path: str, tol: float) -> DensityMatrix:
@@ -168,37 +180,44 @@ def cmd_diagram(args) -> tuple:
     return render_text(diag), 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # Keep the message on its `error:` line when it quotes a line break.
+        super().error(" ".join(message.splitlines()))
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by every `main` call."""
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--tol", default=None,
+                          help="tolerance override (decimal or pi-fraction); "
+                               "default: QSDIAG_TOL or 1e-10")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", default=None,
-                        help="tolerance override (decimal or pi-fraction); "
-                             "default: QSDIAG_TOL or 1e-10")
     common.add_argument("--out", default=None, help="write output to this file")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qsdiag",
         description="Density-matrix channels, purification, Bloch ellipsoids "
                     "and diagrams of states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[tolerant, common],
                        help="check a matrix JSON file for density-matrix validity")
     p.add_argument("file", help="matrix JSON file")
 
-    p = sub.add_parser("evolve", parents=[common],
+    p = sub.add_parser("evolve", parents=[tolerant, common],
                        help="apply a channel to a density matrix")
     p.add_argument("rho", help="density matrix JSON file")
     p.add_argument("channel", help="channel spec, e.g. phase_flip:pi/2")
     p.add_argument("--steps", type=int, default=1, help="number of applications")
 
-    p = sub.add_parser("purify", parents=[common],
+    p = sub.add_parser("purify", parents=[tolerant, common],
                        help="purify a single-qubit density matrix")
     p.add_argument("rho", help="density matrix JSON file")
 
-    p = sub.add_parser("trace", parents=[common],
+    p = sub.add_parser("trace", parents=[tolerant, common],
                        help="trace out the given qubits of a density matrix")
     p.add_argument("rho", help="density matrix JSON file")
     p.add_argument("qubits", type=int, nargs="+", help="qubit indices to trace out")
@@ -223,6 +242,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if args.out:
+            _check_out_target(args.out)
         # Looked up by name on each call, not bound into the cached parser, so a
         # replaced module attribute (a tracing wrapper, a test double) takes effect.
         text, code = globals()[f"cmd_{args.command}"](args)

@@ -142,7 +142,7 @@ class CircuitParseError(FormatError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     """One gate instance: display form plus the matrix over sorted targets.
 
@@ -159,8 +159,8 @@ class Gate:
     qubit_args: tuple
     targets: tuple
     matrix: np.ndarray
-    label: str = field(init=False, repr=False, compare=False)
-    pattern: bytes = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False)
+    pattern: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
@@ -266,12 +266,13 @@ def _parse_list(body: str) -> list:
     return [parse_complex(item) for item in body.split(",")]
 
 
-def _gate_statement(head: str, rest: str, n_qubits: int, lineno: int, col: int) -> Gate:
-    """Build a gate statement's Gate.
+def _gate_statement(statement: str, rest: str, n_qubits: int, lineno: int, col: int) -> Gate:
+    """Build the Gate of a statement whose text after the gate name is `rest`.
 
     Errors name the statement's column, or the bracket's for a matrix literal.
     """
     at = col
+    head = statement.split(None, 1)[0]
     try:
         match = _GATE_HEAD_RE.match(head)
         if not match:
@@ -282,7 +283,7 @@ def _gate_statement(head: str, rest: str, n_qubits: int, lineno: int, col: int) 
             params = tuple(parse_number(p) for p in match.group(2).split(","))
         literal = None
         if name == "matrix":
-            at = col + len(head) + 1
+            at = col + len(statement) - len(rest)
             found = _MATRIX_RE.match(rest)
             if found is None:
                 raise ValueError("matrix gate needs a [[row], [row], ...] literal")
@@ -376,7 +377,7 @@ def parse_circuit(text: str) -> Circuit:
 
         # Gate statement: identical statement text builds one shared Gate.
         if stripped not in built:
-            gate = _gate_statement(head, rest, n_qubits, lineno, col)
+            gate = _gate_statement(stripped, rest, n_qubits, lineno, col)
             built[stripped] = gate, _edge_count(gate, n_qubits)
         gate, edge_count = built[stripped]
         n_edges += edge_count

@@ -37,7 +37,7 @@ UNITARY_TOL = 1e-10
 PRUNE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """An ordered list of Kraus operators, optionally tagged with a name."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -361,3 +362,42 @@ def test_affine_map_of_channel_matches_oracle():
             want_m, want_c = affine_oracle(ch.operators)
             assert np.abs(got.m - want_m).max() < 1e-12
             assert np.abs(got.c - want_c).max() < 1e-12
+
+
+# --- operator bytes ----------------------------------------------------------
+
+# One SHA-256 over the name and every operator's bytes (signs of zeros
+# included) of `channel_from_spec`, for every kind at seeded angles plus the
+# domain ends and two angles whose sin(theta/2) lies just below and just
+# above the pruning tolerance.  A change that must keep the channels keeps
+# this digest.
+OPERATOR_SEED = 20261020
+FIXED_THETAS = (0.0, math.pi, 2e-14, 3e-14)
+OPERATOR_DIGEST = "5c502f7b14b4fa4930946c0b40ef343de6dc15ffd3f4e651ee2ddcd2bedc042b"
+
+
+def _operator_specs(gen):
+    for kind in sorted(CHANNEL_KINDS):
+        if kind == "depolarizing_general":
+            draws = gen.normal(size=(16, 4)) + 1j * gen.normal(size=(16, 4))
+            draws[:4] *= np.array([[1, 0, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 0, 1]])
+            for amps in draws / np.linalg.norm(draws, axis=1, keepdims=True):
+                yield ChannelSpec(kind, 0.0, tuple(complex(a) for a in amps))
+            continue
+        low, high = (-4 * math.pi, 4 * math.pi) if kind.startswith("rotation") else (0.0, math.pi)
+        for theta in FIXED_THETAS + tuple(float(t) for t in gen.uniform(low, high, 16)):
+            yield ChannelSpec(kind, theta)
+
+
+def operator_digest(seed=OPERATOR_SEED) -> str:
+    h = hashlib.sha256()
+    for spec in _operator_specs(np.random.default_rng(seed)):
+        channel = channel_from_spec(spec)
+        h.update(channel.name.encode())
+        for op in channel.operators:
+            h.update(op.tobytes())
+    return h.hexdigest()
+
+
+def test_channel_operators_keep_their_bytes():
+    assert operator_digest() == OPERATOR_DIGEST

@@ -349,6 +349,20 @@ def test_unwritable_out_target_is_usage_error(rho_file, tmp_path, capsys, target
     assert one_usage_error(*run(capsys, "validate", rho_file, "--out", str(tmp_path / target)))
 
 
+@pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-dir"])
+@pytest.mark.parametrize("command, matrix", [
+    ("purify", np.diag([0.4, 0.3, 0.2, 0.1])),
+    ("evolve", np.array([[0.9, 0.5], [0.5, 0.1]])),
+], ids=["purify-two-qubits", "evolve-nonphysical"])
+def test_unwritable_out_target_is_checked_before_the_command(tmp_path, capsys, target,
+                                                            command, matrix):
+    """A command that would fail on its input (exit 1) still exits 2 on an unwritable --out."""
+    path = tmp_path / "rho.json"
+    path.write_text(matrix_to_json(matrix) + "\n")
+    argv = [command, str(path)] + (["phase_flip:1"] if command == "evolve" else [])
+    assert one_usage_error(*run(capsys, *argv, "--out", str(tmp_path / target)))
+
+
 def test_tol_flag_accepts_pi_fractions(rho_file, capsys):
     code, out, _ = run(capsys, "validate", rho_file, "--tol", "pi/4")
     assert code == 0
@@ -458,6 +472,20 @@ def test_bad_last_entry_of_a_large_matrix_is_usage_error(tmp_path, capsys, part,
 def test_format_flag_exists_only_on_diagram(rho_file, capsys, argv):
     argv = [rho_file if a == "RHO" else a for a in argv]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagram", "CIRCUIT", "--tol", "junk"],
+    ["diagram", "CIRCUIT", "--tol", "1e-10"],
+    ["ellipsoid", "bit_flip:0.3", "--tol", "-5"],
+    ["ellipsoid", "bit_flip:0.3", "--tol", "1e-10"],
+])
+def test_tol_flag_exists_only_where_a_matrix_is_validated(tmp_path, capsys, argv):
+    circuit = tmp_path / "c.qs"
+    circuit.write_text("qubits 1\nh 0\n")
+    code, out, err = run(capsys, *[str(circuit) if a == "CIRCUIT" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "error: unrecognized arguments: --tol" in err
 
 
 def test_byte_identical_reruns(rho_file, capsys):

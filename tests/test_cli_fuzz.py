@@ -8,7 +8,8 @@ path under a missing directory).  Whatever the input, the call returns exit
 code 0, 1 or 2 without raising or warning, within a fixed wall time; a
 non-zero exit writes no payload and ends stderr with an `error:` line,
 except `validate`, whose failed verdict is its report; an `--out` payload
-never reaches stdout, and an unwritable target always exits 2.
+never reaches stdout, and an unwritable target or a `--tol` on a
+subcommand that takes none always exits 2.
 """
 
 import contextlib
@@ -74,31 +75,41 @@ COUNTS = st.sampled_from(TOKENS) | st.integers(-1, 4).map(lambda n: str(n).encod
 
 @st.composite
 def cases(draw):
-    """(argv with FILE for the input path, input file bytes or None)."""
+    """(argv with FILE for the input path, input file bytes or None).
+
+    Every subcommand may draw `--tol`; only validate, evolve, purify and
+    trace accept it.
+    """
     source = draw(st.sampled_from(("circuit", "matrix", "spec")))
     if source == "circuit":
         argv = ["diagram", "FILE", "--mode", draw(st.sampled_from(("complete", "simplified"))),
                 "--format", draw(st.sampled_from(("text", "svg")))]
-        return argv, draw(mutated(CIRCUITS))
-    if source == "matrix":
+        payload = draw(mutated(CIRCUITS))
+    elif source == "matrix":
         command = draw(st.sampled_from(("validate", "evolve", "purify", "trace")))
         argv = [command, "FILE"]
         if command == "evolve":
             argv += [arg(draw(st.sampled_from(SPECS))), "--steps", arg(draw(COUNTS))]
         elif command == "trace":
             argv += [arg(draw(COUNTS))]
+        payload = draw(mutated(MATRICES))
+    else:
+        spec = arg(draw(mutated(SPECS)))
         if draw(st.booleans()):
-            argv += ["--tol", arg(draw(mutated((b"1e-10", b"0.5"))))]
-        return argv, draw(mutated(MATRICES))
-    spec = arg(draw(mutated(SPECS)))
+            argv = ["ellipsoid", spec, "--grid", arg(draw(mutated((b"12x24", b"3x2"))))]
+            payload = None
+        else:
+            argv, payload = ["evolve", "FILE", spec], MATRICES[0]
     if draw(st.booleans()):
-        return ["ellipsoid", spec, "--grid", arg(draw(mutated((b"12x24", b"3x2"))))], None
-    return ["evolve", "FILE", spec], MATRICES[0]
+        argv += ["--tol", arg(draw(mutated((b"1e-10", b"0.5"))))]
+    return argv, payload
 
 
 # Where the payload goes: stdout, an --out file, or an --out target that cannot be written.
 TARGETS = (None, "file", "directory", "missing")
 UNWRITABLE = ("directory", "missing")
+# Subcommands that validate no matrix and so take no --tol.
+TOLLESS = ("diagram", "ellipsoid")
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -129,7 +140,7 @@ def test_cli_contract_holds_on_mutated_input(case, target):
     if target is not None:
         assert out == ""
         out = written
-    if target in UNWRITABLE:
+    if target in UNWRITABLE or (argv[0] in TOLLESS and "--tol" in argv):
         assert code == 2
     if code == 0:
         return

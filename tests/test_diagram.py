@@ -11,10 +11,13 @@ from qsdiag import (
     CircuitParseError,
     DensityMatrix,
     Gate,
+    affine_map_of_channel,
     basis_state,
     build_diagram,
     build_gate,
+    decompose_map,
     immerse_gate,
+    make_amp_damp,
     parse_circuit,
     render_svg,
     render_text,
@@ -108,6 +111,8 @@ def test_parse_matrix_literal_rejects_non_unitary():
     ("qubits 1\nrx(inf) 0\n", "line 2, column 1: number 'inf' is not finite"),
     ("qubits 1\ninput [nan, 1]\n", "line 2, column 1: complex number 'nan' is not finite"),
     ("qubits 1\nmatrix [[nan,0],[0,1]] 0\n", "line 2, column 8: complex number 'nan'"),
+    ("qubits 1\nmatrix    [[nan,0],[0,1]] 0\n", "line 2, column 11: complex number 'nan'"),
+    ("qubits 1\n  matrix\t[[nan,0],[0,1]] 0\n", "line 2, column 10: complex number 'nan'"),
     ("qubits 1\nmatrix [[0,1]junk[1,0]] 0\n", "line 2"),   # only commas separate rows
     ("qubits 1\nmatrix [[0,1][1,0]] 0\n", "line 2"),
     ("qubits 1\nmatrix [[0,1],,[1,0]] 0\n", "line 2"),
@@ -439,3 +444,19 @@ def test_circuit_rejects_gate_matrix_that_misfits_its_targets():
     gate = Gate("x", (), (0,), (0,), np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="does not fit"):
         Circuit(2, (gate,), basis_state(2, 0))
+
+
+# --- records holding arrays --------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_circuit("qubits 1\nh 0\n").gates[0],
+    lambda: make_amp_damp("x", "plus", 0.7),
+    lambda: affine_map_of_channel(make_amp_damp("x", "plus", 0.7)),
+    lambda: decompose_map(affine_map_of_channel(make_amp_damp("x", "plus", 0.7))),
+    lambda: parse_circuit("qubits 2\ninput [0.6, 0, 0, 0.8]\nh 0\ncx 0 1\n"),
+], ids=["Gate", "KrausChannel", "BlochAffineMap", "MapDecomposition", "Circuit"])
+def test_array_records_compare_by_identity(make):
+    """Equal content does not make two records equal, and comparing never raises."""
+    a, b = make(), make()
+    assert a == a and hash(a) == hash(a)
+    assert a != b and len({a, b}) == 2

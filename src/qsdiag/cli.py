@@ -13,6 +13,7 @@ points; other grids are unusable flags (exit 2).
 `trace` qubit arguments must name existing qubits and leave at least one
 untraced; other qubit arguments are unusable (exit 2).  `evolve --steps` is
 capped at MAX_STEPS, and its channel must act on the state's dimension
+(exit 2).  `purify` of a matrix that is not single-qubit is unusable too
 (exit 2).
 Input files are read as UTF-8; other bytes are malformed input (exit 2), as
 are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target
@@ -20,7 +21,8 @@ that cannot be written (a directory, a missing parent directory), which is
 checked before the subcommand runs.
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
-input, incomplete channel), 2 malformed input or unusable flags.
+input, incomplete channel), 2 malformed input or unusable flags and
+arguments (`qsdiag.core.FormatError`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 
 from .bloch import affine_map_of_channel, ellipsoid_samples, points_to_csv
 from .channels import channel_from_spec, parse_channel_spec
-from .composite import check_traced_qubits, partial_trace
+from .composite import partial_trace
 from .core import (
     DensityMatrix,
     FormatError,
@@ -108,9 +110,6 @@ def cmd_evolve(args) -> tuple:
     channel = channel_from_spec(parse_channel_spec(args.channel))
     if not 0 <= args.steps <= MAX_STEPS:
         raise FormatError(f"--steps must be in 0..{MAX_STEPS}, got {args.steps}")
-    if channel.dim != rho.dim:
-        raise FormatError(
-            f"channel dimension {channel.dim} does not match state dimension {rho.dim}")
     rho = apply_channel(channel, rho, tol=max(tol, 1e-12), steps=args.steps)
     return matrix_to_json(rho.matrix) + "\n", 0
 
@@ -141,12 +140,7 @@ def cmd_purify(args) -> tuple:
 
 def cmd_trace(args) -> tuple:
     tol = _resolve_tol(args)
-    rho = _load_density(args.rho, tol)
-    try:
-        traced = check_traced_qubits(rho.n_qubits, sorted(set(args.qubits)))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    reduced = partial_trace(rho, traced)
+    reduced = partial_trace(_load_density(args.rho, tol), sorted(set(args.qubits)))
     return matrix_to_json(reduced.matrix) + "\n", 0
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_QUBITS, DensityMatrix, as_complex_matrix, n_qubits_for_dim
+from .core import MAX_QUBITS, DensityMatrix, FormatError, as_complex_matrix, n_qubits_for_dim
 
 
 def tensor(a, b) -> np.ndarray:
@@ -23,12 +23,15 @@ def tensor(a, b) -> np.ndarray:
 
 
 def check_qubit_subset(n_qubits: int, indices: Sequence[int], *, name: str = "qubit set"):
-    """Validate a strictly increasing tuple of qubit positions below n_qubits."""
+    """Validate a strictly increasing tuple of qubit positions below n_qubits.
+
+    Positions outside the register or out of order raise FormatError.
+    """
     idx = tuple(int(i) for i in indices)
     if any(i < 0 or i >= n_qubits for i in idx):
-        raise ValueError(f"{name} {idx} out of range for {n_qubits} qubit(s)")
+        raise FormatError(f"{name} {idx} out of range for {n_qubits} qubit(s)")
     if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"{name} {idx} must be strictly increasing")
+        raise FormatError(f"{name} {idx} must be strictly increasing")
     return idx
 
 
@@ -36,9 +39,9 @@ def check_traced_qubits(n_qubits: int, traced: Sequence[int]):
     """Validate the qubits `partial_trace` removes: a non-empty subset that keeps one."""
     traced_t = check_qubit_subset(n_qubits, traced, name="traced qubits")
     if not traced_t:
-        raise ValueError("traced qubit set must be non-empty")
+        raise FormatError("traced qubit set must be non-empty")
     if len(traced_t) == n_qubits:
-        raise ValueError("cannot trace out every qubit of the register")
+        raise FormatError("cannot trace out every qubit of the register")
     return traced_t
 
 

@@ -41,7 +41,12 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 class FormatError(ValueError):
-    """Malformed serialized input (JSON documents, spec strings, circuit files)."""
+    """Input that cannot be used: malformed serialized input (JSON documents,
+    spec strings, circuit files) or arguments that do not fit each other.
+
+    The CLI exits 2 on it; a value that parses but fails a physical check
+    (Hermiticity, trace, positivity, completeness) is a plain ValueError.
+    """
 
 
 def n_qubits_for_dim(dim: int) -> int:

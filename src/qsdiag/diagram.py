@@ -175,6 +175,12 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A register size, its gates in order and the input state.
+
+    Each gate's targets must be its qubit arguments, sorted and distinct,
+    inside the register, and its matrix must fit them.
+    """
+
     n_qubits: int
     gates: tuple
     input_state: PureState
@@ -184,8 +190,12 @@ class Circuit:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         if self.input_state.n_qubits != self.n_qubits:
             raise ValueError("input state size does not match the register")
-        for g in self.gates:
-            if g.targets and g.targets[-1] >= self.n_qubits:
+        for g in dict.fromkeys(self.gates):  # each distinct Gate once
+            if g.targets != tuple(sorted(set(g.qubit_args))):
+                raise ValueError(
+                    f"gate {g.label!r} targets {g.targets} are not its qubit arguments "
+                    f"sorted and distinct")
+            if not all(0 <= q < self.n_qubits for q in g.targets):
                 raise ValueError(f"gate {g.label!r} targets a qubit outside the register")
             if g.matrix.shape != (1 << len(g.targets),) * 2:
                 raise ValueError(
@@ -266,40 +276,12 @@ def _parse_list(body: str) -> list:
     return [parse_complex(item) for item in body.split(",")]
 
 
-def _gate_statement(statement: str, rest: str, n_qubits: int, lineno: int, col: int) -> Gate:
-    """Build the Gate of a statement whose text after the gate name is `rest`.
-
-    Errors name the statement's column, or the bracket's for a matrix literal.
-    """
-    at = col
-    head = statement.split(None, 1)[0]
+def _int(text: str, what: str) -> int:
+    """`text` as an int; a ValueError names the text as an invalid `what` otherwise."""
     try:
-        match = _GATE_HEAD_RE.match(head)
-        if not match:
-            raise ValueError(f"cannot parse gate name {head!r}")
-        name = match.group(1).lower()
-        params = ()
-        if match.group(2) is not None:
-            params = tuple(parse_number(p) for p in match.group(2).split(","))
-        literal = None
-        if name == "matrix":
-            at = col + len(statement) - len(rest)
-            found = _MATRIX_RE.match(rest)
-            if found is None:
-                raise ValueError("matrix gate needs a [[row], [row], ...] literal")
-            literal = [_parse_list(row) for row in _LIST_RE.findall(found.group())]
-            if any(len(row) != len(literal) for row in literal):
-                raise ValueError("matrix literal rows have uneven lengths")
-            at, rest = col, rest[found.end():]
-        qubits = []
-        for tok in rest.split():
-            try:
-                qubits.append(int(tok))
-            except ValueError:
-                raise ValueError(f"invalid qubit argument {tok!r}") from None
-        return build_gate(name, params, qubits, n_qubits, matrix=literal)
-    except ValueError as exc:
-        raise CircuitParseError(str(exc), lineno, at) from None
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid {what} {text!r}") from None
 
 
 def _edge_count(gate: Gate, n_qubits: int) -> int:
@@ -308,7 +290,11 @@ def _edge_count(gate: Gate, n_qubits: int) -> int:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse circuit text (see the module docstring for the grammar)."""
+    """Parse circuit text (see the module docstring for the grammar).
+
+    Every error is a CircuitParseError at the statement's line and column, or
+    at the bracket's column while a matrix literal's text is read.
+    """
     n_qubits = None
     input_amps = None
     gates = []
@@ -319,72 +305,79 @@ def parse_circuit(text: str) -> Circuit:
         stripped = code.strip()
         if not stripped:
             continue
-        col = len(code) - len(code.lstrip()) + 1
+        at = col = len(code) - len(code.lstrip()) + 1
         pieces = stripped.split(None, 1)
         head = pieces[0]
         rest = pieces[1].strip() if len(pieces) > 1 else ""
+        try:
+            if n_qubits is None:
+                if head != "qubits":
+                    raise ValueError("first statement must be 'qubits N'")
+                n_qubits = _int(rest, "qubit count")
+                if not 1 <= n_qubits <= MAX_QUBITS:
+                    raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n_qubits}")
+                continue
 
-        if n_qubits is None:
-            if head != "qubits":
-                raise CircuitParseError("first statement must be 'qubits N'", lineno, col)
-            try:
-                n_qubits = int(rest)
-            except ValueError:
-                raise CircuitParseError(f"invalid qubit count {rest!r}", lineno, col) from None
-            if not 1 <= n_qubits <= MAX_QUBITS:
-                raise CircuitParseError(
-                    f"qubit count must be in 1..{MAX_QUBITS}, got {n_qubits}", lineno, col)
-            continue
+            if head == "qubits":
+                raise ValueError("duplicate 'qubits' directive")
 
-        if head == "qubits":
-            raise CircuitParseError("duplicate 'qubits' directive", lineno, col)
-
-        if head == "input":
-            if input_amps is not None:
-                raise CircuitParseError("duplicate 'input' directive", lineno, col)
-            if gates:
-                raise CircuitParseError("'input' must precede all gates", lineno, col)
-            dim = 1 << n_qubits
-            if rest.startswith("["):
-                match = _LIST_RE.fullmatch(rest)
-                if match is None:
-                    raise CircuitParseError(f"malformed amplitude list {rest!r}", lineno, col)
-                try:
+            if head == "input":
+                if input_amps is not None:
+                    raise ValueError("duplicate 'input' directive")
+                if gates:
+                    raise ValueError("'input' must precede all gates")
+                dim = 1 << n_qubits
+                if rest.startswith("["):
+                    match = _LIST_RE.fullmatch(rest)
+                    if match is None:
+                        raise ValueError(f"malformed amplitude list {rest!r}")
                     amps = np.array(_parse_list(match.group(1)), dtype=complex)
-                except FormatError as exc:
-                    raise CircuitParseError(str(exc), lineno, col) from None
-                if amps.size != dim:
-                    raise CircuitParseError(
-                        f"amplitude list needs {dim} entries, got {amps.size}", lineno, col)
-                with np.errstate(over="ignore"):  # |v| = inf fails the check below
-                    norm = float(np.linalg.norm(amps))
-                if abs(norm - 1.0) > 1e-6:
-                    raise CircuitParseError(
-                        f"input amplitudes are far from normalized (|v| = {norm!r})",
-                        lineno, col)
-                input_amps = amps / norm
-            else:
-                try:
-                    index = int(rest)
-                except ValueError:
-                    raise CircuitParseError(f"invalid input index {rest!r}", lineno, col) from None
-                if not 0 <= index < dim:
-                    raise CircuitParseError(
-                        f"input index {index} out of range for {n_qubits} qubit(s)", lineno, col)
-                input_amps = np.zeros(dim, dtype=complex)
-                input_amps[index] = 1.0
-            continue
+                    if amps.size != dim:
+                        raise ValueError(f"amplitude list needs {dim} entries, got {amps.size}")
+                    with np.errstate(over="ignore"):  # |v| = inf fails the check below
+                        norm = float(np.linalg.norm(amps))
+                    if abs(norm - 1.0) > 1e-6:
+                        raise ValueError(
+                            f"input amplitudes are far from normalized (|v| = {norm!r})")
+                    input_amps = amps / norm
+                else:
+                    index = _int(rest, "input index")
+                    if not 0 <= index < dim:
+                        raise ValueError(
+                            f"input index {index} out of range for {n_qubits} qubit(s)")
+                    input_amps = np.zeros(dim, dtype=complex)
+                    input_amps[index] = 1.0
+                continue
 
-        # Gate statement: identical statement text builds one shared Gate.
-        if stripped not in built:
-            gate = _gate_statement(stripped, rest, n_qubits, lineno, col)
-            built[stripped] = gate, _edge_count(gate, n_qubits)
-        gate, edge_count = built[stripped]
-        n_edges += edge_count
-        if n_edges > MAX_DIAGRAM_EDGES:
-            raise CircuitParseError(
-                f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges", lineno, col)
-        gates.append(gate)
+            # Gate statement: identical statement text builds one shared Gate.
+            if stripped not in built:
+                match = _GATE_HEAD_RE.match(head)
+                if not match:
+                    raise ValueError(f"cannot parse gate name {head!r}")
+                name = match.group(1).lower()
+                params = ()
+                if match.group(2) is not None:
+                    params = tuple(parse_number(p) for p in match.group(2).split(","))
+                literal = None
+                if name == "matrix":
+                    at = col + len(stripped) - len(rest)
+                    found = _MATRIX_RE.match(rest)
+                    if found is None:
+                        raise ValueError("matrix gate needs a [[row], [row], ...] literal")
+                    literal = [_parse_list(row) for row in _LIST_RE.findall(found.group())]
+                    if any(len(row) != len(literal) for row in literal):
+                        raise ValueError("matrix literal rows have uneven lengths")
+                    at, rest = col, rest[found.end():]
+                qubits = [_int(tok, "qubit argument") for tok in rest.split()]
+                gate = build_gate(name, params, qubits, n_qubits, matrix=literal)
+                built[stripped] = gate, _edge_count(gate, n_qubits)
+            gate, edge_count = built[stripped]
+            n_edges += edge_count
+            if n_edges > MAX_DIAGRAM_EDGES:
+                raise ValueError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges")
+            gates.append(gate)
+        except ValueError as exc:
+            raise CircuitParseError(str(exc), lineno, at) from None
 
     if n_qubits is None:
         raise CircuitParseError("circuit has no 'qubits' directive", 1, 1)

@@ -107,7 +107,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
     `steps=0` returns `rho` itself.
     """
     if channel.dim != rho.dim:
-        raise ValueError(
+        raise FormatError(
             f"channel dimension {channel.dim} does not match state dimension {rho.dim}"
         )
     if steps < 0:
@@ -119,9 +119,9 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
                          atol=max(1e-10, 10 * defect))
 
 
-def prune_operators(operators, tol: float = PRUNE_TOL):
-    """Drop operators that vanish entirely (max |entry| < tol)."""
-    kept = [op for op in operators if np.max(np.abs(op)) >= tol]
+def prune_operators(operators):
+    """Drop operators that vanish entirely (max |entry| < PRUNE_TOL)."""
+    kept = [op for op in operators if np.max(np.abs(op)) >= PRUNE_TOL]
     return kept if kept else list(operators[:1])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, basis_state
+from .core import DensityMatrix, FormatError, PureState, basis_state
 from .diagram import Circuit, build_gate
 
 # Below this weight on |0><0| the closed form divides by ~0; the state is
@@ -57,7 +57,7 @@ def purify_single_qubit(rho: DensityMatrix) -> PurificationResult:
     least significant (ancilla) qubit reproduces `rho`.
     """
     if rho.n_qubits != 1:
-        raise ValueError("purification is defined for single-qubit states")
+        raise FormatError("purification is defined for single-qubit states")
     m = rho.matrix
     p00 = float(m[0, 0].real)
     p11 = float(m[1, 1].real)

@@ -218,6 +218,14 @@ def test_purify_reports_state_and_angles(rho_file, capsys):
     assert doc["angles"]["phi"] == 0.0
 
 
+def test_purify_of_a_two_qubit_matrix_is_usage_error(tmp_path, capsys):
+    two_qubits = tmp_path / "rho2.json"
+    two_qubits.write_text(matrix_to_json(np.diag([0.4, 0.3, 0.2, 0.1])) + "\n")
+    code, out, err = run(capsys, "purify", str(two_qubits))
+    assert one_usage_error(code, out, err)
+    assert "purification is defined for single-qubit states" in err
+
+
 def test_trace_reduces_register(tmp_path, capsys):
     gen = np.random.default_rng(81)
     g = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
@@ -351,9 +359,9 @@ def test_unwritable_out_target_is_usage_error(rho_file, tmp_path, capsys, target
 
 @pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-dir"])
 @pytest.mark.parametrize("command, matrix", [
-    ("purify", np.diag([0.4, 0.3, 0.2, 0.1])),
+    ("purify", np.array([[0.9, 0.5], [0.5, 0.1]])),
     ("evolve", np.array([[0.9, 0.5], [0.5, 0.1]])),
-], ids=["purify-two-qubits", "evolve-nonphysical"])
+], ids=["purify-nonphysical", "evolve-nonphysical"])
 def test_unwritable_out_target_is_checked_before_the_command(tmp_path, capsys, target,
                                                             command, matrix):
     """A command that would fail on its input (exit 1) still exits 2 on an unwritable --out."""

@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdiag import matrix_to_json
@@ -112,8 +112,17 @@ UNWRITABLE = ("directory", "missing")
 TOLLESS = ("diagram", "ellipsoid")
 
 
+# Branches the draws reach only by the luck of their order, pinned as examples:
+# an argparse message quoting a line break, a command that would exit 1 on its
+# input but has an unwritable --out, --tol where none is taken, and purify of
+# a two-qubit matrix.
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cases(), st.sampled_from(TARGETS))
+@example((["validate", "FILE", "a\nb"], MATRICES[0]), None)
+@example((["evolve", "FILE", "phase_flip:pi/2"], MATRICES[3]), "directory")
+@example((["diagram", "FILE", "--mode", "complete", "--format", "text", "--tol", "1e-10"],
+          CIRCUITS[0]), None)
+@example((["purify", "FILE"], MATRICES[2]), None)
 def test_cli_contract_holds_on_mutated_input(case, target):
     argv, payload = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -116,6 +116,10 @@ def test_parse_matrix_literal_rejects_non_unitary():
     ("qubits 1\nmatrix [[0,1]junk[1,0]] 0\n", "line 2"),   # only commas separate rows
     ("qubits 1\nmatrix [[0,1][1,0]] 0\n", "line 2"),
     ("qubits 1\nmatrix [[0,1],,[1,0]] 0\n", "line 2"),
+    # The column is the statement's again once a literal's text is read.
+    ("qubits 1\nmatrix [[0,1],[1,0]] 0\n  frob 0\n", "line 3, column 3: unknown gate 'frob'"),
+    ("qubits 1\nmatrix [[0,1],[1,0]] 0 0\n", "line 2, column 1: gate qubit arguments"),
+    ("qubits 1\nmatrix [[1,1],[0,1]] 0\n", "line 2, column 1: matrix literal is not unitary"),
 ])
 def test_parse_error_cases(text, fragment):
     with pytest.raises(CircuitParseError) as err:
@@ -438,6 +442,21 @@ def test_mixed_golden_renders_are_byte_identical(mode):
 def test_circuit_validation_catches_misfit_gate():
     with pytest.raises(ValueError):
         Circuit(1, (build_gate("x", (), (1,), 2),), basis_state(1, 0))
+
+
+CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+
+
+@pytest.mark.parametrize("gate, message", [
+    (Gate("cx", (), (5, 0), (5, 0), CX), "not its qubit arguments"),
+    (Gate("cx", (), (0, 0), (0, 0), CX), "not its qubit arguments"),
+    (Gate("x", (), (1,), (0,), np.eye(2)[::-1]), "not its qubit arguments"),
+    (Gate("x", (), (-1,), (-1,), np.eye(2)[::-1]), "outside the register"),
+], ids=["unsorted", "repeated", "not-the-arguments", "negative"])
+def test_circuit_rejects_gate_targets_that_are_not_its_sorted_arguments(gate, message):
+    with pytest.raises(ValueError, match=message) as err:
+        Circuit(3, (gate,), basis_state(3, 0))
+    assert repr(gate.label) in str(err.value)
 
 
 def test_circuit_rejects_gate_matrix_that_misfits_its_targets():

@@ -29,7 +29,8 @@ _EXPORTS = {
     ),
     "diagram": (
         "Circuit", "CircuitParseError", "Gate", "StateDiagram", "build_diagram",
-        "build_gate", "parse_circuit", "render_svg", "render_text", "simulate",
+        "build_gate", "parse_circuit", "render_svg", "render_svg_chunks", "render_text",
+        "render_text_chunks", "simulate",
     ),
     "kraus": (
         "KrausChannel", "apply_channel", "channel_from_json_dict", "channel_to_json_dict",

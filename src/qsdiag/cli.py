@@ -16,9 +16,17 @@ capped at MAX_STEPS, and its channel must act on the state's dimension
 (exit 2).  `purify` of a matrix that is not single-qubit is unusable too
 (exit 2).
 Input files are read as UTF-8; other bytes are malformed input (exit 2), as
-are circuits beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target
-that cannot be written (a directory, a missing parent directory), which is
-checked before the subcommand runs.
+are a matrix whose shape fits no register of 1..MAX_QUBITS qubits, circuits
+beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target that cannot
+be written (a directory, a missing parent directory), which is checked
+before the subcommand runs.
+
+Every `cmd_*` returns (chunks, exit code), where chunks is an iterable of
+str: one string for most subcommands, and for `diagram` the renderer's
+generator, so `main` writes each layer as it is formatted and never holds
+the whole document.  The --out target is opened only after the command
+returns, so a failed command leaves it untouched and stdout empty; a write
+that fails (a full disk, say) is reported on one `error:` line (exit 2).
 
 Exit codes: 0 success, 1 domain failure (validation failed, non-physical
 input, incomplete channel), 2 malformed input or unusable flags and
@@ -28,6 +36,7 @@ arguments (`qsdiag.core.FormatError`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -38,6 +47,7 @@ from .bloch import affine_map_of_channel, ellipsoid_samples, points_to_csv
 from .channels import channel_from_spec, parse_channel_spec
 from .composite import partial_trace
 from .core import (
+    MAX_QUBITS,
     DensityMatrix,
     FormatError,
     matrix_from_json,
@@ -46,7 +56,7 @@ from .core import (
     parse_number,
     validate_density,
 )
-from .diagram import build_diagram, parse_circuit, render_svg, render_text
+from .diagram import build_diagram, parse_circuit, render_svg_chunks, render_text_chunks
 from .kraus import apply_channel
 from .purify import purify_single_qubit
 
@@ -85,15 +95,23 @@ def _check_out_target(path: str):
         raise FormatError(f"--out target {path!r} is in a missing directory")
 
 
+def _load_matrix(path: str):
+    """A matrix JSON file whose shape is that of a register of 1..MAX_QUBITS qubits."""
+    matrix = matrix_from_json(_read_text(path))
+    rows, cols = matrix.shape
+    if rows != cols or not 2 <= rows <= 1 << MAX_QUBITS or rows & (rows - 1):
+        raise FormatError(f"{path}: a {rows}x{cols} matrix fits no register of "
+                          f"1..{MAX_QUBITS} qubits (2^n x 2^n)")
+    return matrix
+
+
 def _load_density(path: str, tol: float) -> DensityMatrix:
-    return DensityMatrix(
-        matrix_from_json(_read_text(path)), atol=max(tol, 1e-12), psd_tol=max(tol, 1e-10)
-    )
+    return DensityMatrix(_load_matrix(path), atol=max(tol, 1e-12), psd_tol=max(tol, 1e-10))
 
 
 def cmd_validate(args) -> tuple:
     tol = _resolve_tol(args)
-    report = validate_density(matrix_from_json(_read_text(args.file)), tol=tol)
+    report = validate_density(_load_matrix(args.file), tol=tol)
     verdict = "PASS" if report.passed else "FAIL"
     text = (
         f"hermiticity defect: {report.hermiticity_defect:.6e}\n"
@@ -101,7 +119,7 @@ def cmd_validate(args) -> tuple:
         f"min eigenvalue:     {report.min_eigenvalue:.6e}\n"
         f"result: {verdict} (tol {tol:.1e})\n"
     )
-    return text, 0 if report.passed else 1
+    return [text], 0 if report.passed else 1
 
 
 def cmd_evolve(args) -> tuple:
@@ -111,7 +129,7 @@ def cmd_evolve(args) -> tuple:
     if not 0 <= args.steps <= MAX_STEPS:
         raise FormatError(f"--steps must be in 0..{MAX_STEPS}, got {args.steps}")
     rho = apply_channel(channel, rho, tol=max(tol, 1e-12), steps=args.steps)
-    return matrix_to_json(rho.matrix) + "\n", 0
+    return [matrix_to_json(rho.matrix) + "\n"], 0
 
 
 def cmd_purify(args) -> tuple:
@@ -135,13 +153,13 @@ def cmd_purify(args) -> tuple:
             "phi": result.phi,
         },
     }
-    return json.dumps(doc, sort_keys=True) + "\n", 0
+    return [json.dumps(doc, sort_keys=True) + "\n"], 0
 
 
 def cmd_trace(args) -> tuple:
     tol = _resolve_tol(args)
     reduced = partial_trace(_load_density(args.rho, tol), sorted(set(args.qubits)))
-    return matrix_to_json(reduced.matrix) + "\n", 0
+    return [matrix_to_json(reduced.matrix) + "\n"], 0
 
 
 def _parse_grid(text: str) -> tuple:
@@ -163,15 +181,14 @@ def cmd_ellipsoid(args) -> tuple:
     channel = channel_from_spec(parse_channel_spec(args.channel))
     n_lat, n_lon = _parse_grid(args.grid)
     affine = affine_map_of_channel(channel)
-    return points_to_csv(ellipsoid_samples(affine, n_lat, n_lon)), 0
+    return [points_to_csv(ellipsoid_samples(affine, n_lat, n_lon))], 0
 
 
 def cmd_diagram(args) -> tuple:
     circuit = parse_circuit(_read_text(args.circuit))
     diag = build_diagram(circuit, mode=args.mode)
-    if args.format == "svg":
-        return render_svg(diag), 0
-    return render_text(diag), 0
+    render = render_svg_chunks if args.format == "svg" else render_text_chunks
+    return render(diag), 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -240,17 +257,19 @@ def main(argv=None) -> int:
             _check_out_target(args.out)
         # Looked up by name on each call, not bound into the cached parser, so a
         # replaced module attribute (a tracing wrapper, a test double) takes effect.
-        text, code = globals()[f"cmd_{args.command}"](args)
-        if args.out:
-            Path(args.out).write_text(text)
-            return code
+        chunks, code = globals()[f"cmd_{args.command}"](args)
+        # The target opens only now, so a failed command leaves it untouched.
+        # Flushed here, so a write error is reported once, not again at exit.
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            for chunk in chunks:
+                out.write(chunk)
+            out.flush()
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(text)
     return code
 
 

@@ -40,9 +40,14 @@ so two different literals never share a key, as they would under a key of
 gate name or label (`matrix 0` labels every 2x2 literal on qubit 0 alike).
 An error is never stored, and the edge cap is still checked on every line.
 
-The renderers gather the layers' edges into flat arrays once per diagram
-and do their array work on those, so the Python loop over layers only
-slices lists and formats strings.
+The renderers stream: `render_text_chunks` and `render_svg_chunks` yield
+the document in pieces (header, chart or wire stubs, runs of layers,
+footer), and `render_text`/`render_svg` join them.  `_layer_runs` gathers
+the edges of a run of whole layers into flat arrays, which take the run's
+array work and one `.tolist()` each, so the Python loop over layers only
+formats strings.  A run holds about `_RUN_SIZE` output lines, so many small
+layers share one round of array work and a large diagram holds one run's
+values and text at a time, not the whole document.
 
 Circuit text format, one statement per line, `#` starts a comment:
 
@@ -68,6 +73,7 @@ import functools
 import itertools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +98,8 @@ EDGE_TOL = 1e-12
 MAX_DIAGRAM_EDGES = 262_144
 # Edge layouts kept by `_edge_layout`, keyed by (n_qubits, targets, pattern).
 _LAYOUT_CACHE_SIZE = 128
+# Output lines a renderer formats as one run of whole layers (see `_layer_runs`).
+_RUN_SIZE = 2048
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -534,21 +542,86 @@ def _input_label(diagram: StateDiagram) -> str:
     return "custom"
 
 
-def _edge_table(layers) -> tuple:
-    """Every layer's edges as flat (src, dst, amp, layer) arrays, plus each layer's start.
+def _layer_runs(layers, lines_per_layer: int) -> Iterator[tuple]:
+    """The layers in runs of whole layers, each as (range of layer indices, src, dst, amp,
+    layer) flat arrays of the run's edges in order.
 
-    Layer t owns entries bounds[t]:bounds[t + 1] of the flat arrays.
+    A run takes layers until the output lines it makes, one per edge plus
+    `lines_per_layer` per layer, reach `_RUN_SIZE` (the last run may make
+    fewer).  So many small layers share one round of array work and one chunk
+    of output, and a large diagram never holds more than one run's edges as
+    flat arrays or Python values.
     """
     sizes = [len(layer.src) for layer in layers]
-    bounds = [0, *itertools.accumulate(sizes)]
-    src = np.concatenate([np.zeros(0, dtype=np.intp), *(layer.src for layer in layers)])
-    dst = np.concatenate([np.zeros(0, dtype=np.intp), *(layer.dst for layer in layers)])
-    amp = np.concatenate([np.zeros(0, dtype=complex), *(layer.amp for layer in layers)])
-    return src, dst, amp, np.repeat(np.arange(len(layers)), sizes), bounds
+    first, size = 0, 0
+    for end, n_edges in enumerate(sizes, 1):
+        size += n_edges + lines_per_layer
+        if size < _RUN_SIZE and end < len(sizes):
+            continue
+        run = layers[first:end]
+        yield (range(first, end), np.concatenate([layer.src for layer in run]),
+               np.concatenate([layer.dst for layer in run]),
+               np.concatenate([layer.amp for layer in run]),
+               np.repeat(np.arange(first, end), sizes[first:end]))
+        first, size = end, 0
 
 
 def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _text_chart(diagram: StateDiagram) -> str:
+    """The chart of `render_text`, without its last newline.
+
+    It is built as one byte matrix, a row per line: label, then a piece per
+    layer, then the last segment and a newline.  Layer t's four pieces are
+    its dormant/active segment followed by a blank/numbered cell, and a
+    line's code selects one: 4t + active + 2 * touched.
+    """
+    n_lines = diagram.n_lines
+    n_layers = len(diagram.layers)
+    iw = len(str(n_lines - 1))
+    dw = len(str(max(n_layers, 1)))
+    active = np.stack([b.active for b in diagram.boundaries], axis=1)
+    blank = "[" + " " * dw + "]"
+    pieces = "".join(seg + cell for t in range(n_layers)
+                     for cell in (blank, f"[{t + 1:>{dw}}]") for seg in ("----", "===="))
+    code = 4 * np.arange(n_layers) + active[:, :-1]
+    for _, src, dst, _, owner in _layer_runs(diagram.layers, 0):
+        code[src, owner] |= 2
+        code[dst, owner] |= 2
+    labels = "".join(f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> " for i in range(n_lines))
+    chart = np.concatenate((
+        _ascii(labels).reshape(n_lines, -1),
+        np.take(_ascii(pieces).reshape(-1, dw + 6), code, axis=0).reshape(n_lines, -1),
+        np.take(_ascii("----===="), 4 * active[:, -1:] + np.arange(4)),
+        np.full((n_lines, 1), ord("\n"), dtype=np.uint8),
+    ), axis=1)
+    return str(chart.ravel()[:-1], "ascii")
+
+
+def render_text_chunks(diagram: StateDiagram) -> Iterator[str]:
+    """`render_text`'s document in pieces, formatted as they are asked for.
+
+    The pieces are the header, the chart, one per run of layers' edge lists
+    (see `_layer_runs`), and the output amplitudes.
+    """
+    yield (f"lines: {diagram.n_lines}  layers: {len(diagram.layers)}  mode: {diagram.mode}\n"
+           f"input: {_input_label(diagram)}\n\n")
+    yield _text_chart(diagram)
+    for run, src, dst, amp, _ in _layer_runs(diagram.layers, 0):
+        edges = zip(src.tolist(), dst.tolist(), amp.tolist())
+        chunk = []
+        for t in run:
+            layer = diagram.layers[t]
+            chunk.append(f"\n\n[{t + 1}] {layer.label}")
+            chunk.extend(f"\n    {s} -> {d}  {_fmt_amp(a)}"
+                         for s, d, a in itertools.islice(edges, len(layer.src)))
+        yield "".join(chunk)
+    final = diagram.boundaries[-1].amplitudes
+    yield "".join(["\n\noutput amplitudes:",
+                   *(f"\n    {i}  {_fmt_amp(complex(final[i]))}"
+                     for i in np.flatnonzero(np.abs(final) > EDGE_TOL).tolist()), "\n"])
 
 
 def render_text(diagram: StateDiagram) -> str:
@@ -559,49 +632,7 @@ def render_text(diagram: StateDiagram) -> str:
     the lines that touch one of the layer's edges.  Layers and their edge
     amplitudes are listed below the chart.
     """
-    n_lines = diagram.n_lines
-    n_layers = len(diagram.layers)
-    iw = len(str(n_lines - 1))
-    dw = len(str(max(n_layers, 1)))
-    out = [
-        f"lines: {n_lines}  layers: {n_layers}  mode: {diagram.mode}",
-        f"input: {_input_label(diagram)}",
-        "",
-    ]
-    src, dst, amp, owner, bounds = _edge_table(diagram.layers)
-    # The chart as one byte matrix, a row per line: label, then a piece per
-    # layer, then the last segment and a newline.  Layer t's four pieces are
-    # its dormant/active segment followed by a blank/numbered cell, and a
-    # line's code selects one: 4t + active + 2 * touched.
-    active = np.stack([b.active for b in diagram.boundaries], axis=1)
-    blank = "[" + " " * dw + "]"
-    pieces = "".join(seg + cell for t in range(n_layers)
-                     for cell in (blank, f"[{t + 1:>{dw}}]") for seg in ("----", "===="))
-    code = 4 * np.arange(n_layers) + active[:, :-1]
-    code[src, owner] |= 2
-    code[dst, owner] |= 2
-    labels = "".join(f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> " for i in range(n_lines))
-    chart = np.concatenate((
-        _ascii(labels).reshape(n_lines, -1),
-        np.take(_ascii(pieces).reshape(-1, dw + 6), code, axis=0).reshape(n_lines, -1),
-        np.take(_ascii("----===="), 4 * active[:, -1:] + np.arange(4)),
-        np.full((n_lines, 1), ord("\n"), dtype=np.uint8),
-    ), axis=1)
-    out.append(chart.tobytes().decode("ascii")[:-1])
-    srcs, dsts, amps = src.tolist(), dst.tolist(), amp.tolist()
-    for t, layer in enumerate(diagram.layers):
-        out.append("")
-        out.append(f"[{t + 1}] {layer.label}")
-        lo, hi = bounds[t], bounds[t + 1]
-        out.extend(f"    {s} -> {d}  {_fmt_amp(a)}"
-                   for s, d, a in zip(srcs[lo:hi], dsts[lo:hi], amps[lo:hi]))
-    out.append("")
-    out.append("output amplitudes:")
-    final = diagram.boundaries[-1].amplitudes
-    for i in np.flatnonzero(np.abs(final) > EDGE_TOL).tolist():
-        out.append(f"    {i}  {_fmt_amp(complex(final[i]))}")
-    out.append("")
-    return "\n".join(out)
+    return "".join(render_text_chunks(diagram))
 
 
 # SVG geometry: fixed constants, so equal diagrams render to byte-identical documents.
@@ -625,11 +656,11 @@ _TEXT_ATTRS = f'font-family="monospace" font-size="{_FONT_SIZE}" fill="{_LABEL_C
 _AMP_ATTRS = f'font-family="monospace" font-size="{_FONT_SIZE - 2}" fill="{_LABEL_COLOR}"'
 
 
-def render_svg(diagram: StateDiagram) -> str:
-    """SVG 1.1 rendering: horizontal basis lines, one column per layer.
+def render_svg_chunks(diagram: StateDiagram) -> Iterator[str]:
+    """`render_svg`'s document in pieces, formatted as they are asked for.
 
-    Active segments and edges are thick, dormant ones thin; each edge
-    carries its amplitude to three significant digits.
+    The pieces are the header with the line labels, one per boundary's wire
+    stubs, one per run of layer zones (see `_layer_runs`), and the closing tag.
     """
     n_lines = diagram.n_lines
     n_layers = len(diagram.layers)
@@ -644,45 +675,54 @@ def render_svg(diagram: StateDiagram) -> str:
 
     title = (f"{diagram.n_qubits} qubit(s), {n_layers} layer(s), {diagram.mode}, "
              f"input {_input_label(diagram)}")
-    parts = [
+    label_x = f"{_MARGIN_X - 58.0:.1f}"
+    yield "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{_MARGIN_X:.1f}" y="20" font-family="monospace" '
         f'font-size="{_FONT_SIZE + 2}" fill="{_ACTIVE_COLOR}">{_escape(title)}</text>',
-    ]
-    label_x = f"{_MARGIN_X - 58.0:.1f}"
-    parts.extend(f'<text x="{label_x}" y="{v + 4.0:.1f}" {_TEXT_ATTRS}>'
-                 f'{i} |{i:0{diagram.n_qubits}b}&gt;</text>' for i, v in enumerate(y.tolist()))
-    # Boundary wire stubs, then gate zones, each joined into one string so
-    # that the document's many small strings do not all live at once.
+        *(f'<text x="{label_x}" y="{v + 4.0:.1f}" {_TEXT_ATTRS}>'
+          f'{i} |{i:0{diagram.n_qubits}b}&gt;</text>' for i, v in enumerate(y.tolist())),
+    ])
+    # Each piece after the first starts with the line break that separates it
+    # from the one before: a list led by "" joins to "\n" + its elements.
     active = np.stack([b.active for b in diagram.boundaries])
     for t, on_row in enumerate(active.tolist()):
         x_start, x_end = xs[t], xw[t]
-        parts.append("\n".join(
-            f'<line x1="{x_start}" y1="{yi}" x2="{x_end}" y2="{yi}" {_STROKES[on]}/>'
-            for yi, on in zip(ys, on_row)))
-    # Edges take their stroke from the activity of their source line.
-    src, dst, amp, owner, bounds = _edge_table(diagram.layers)
-    y0, y1 = y[src], y[dst]
-    label_ys = [f"{v:.1f}" for v in (y0 + 0.38 * (y1 - y0) - 4.0).tolist()]
-    strokes = active[owner, src].tolist()
-    srcs, dsts, amps = src.tolist(), dst.tolist(), amp.tolist()
-    # Dormant lines whose edges were pruned still continue, thin.
-    dormant = np.ones((n_layers, n_lines), dtype=bool)
-    dormant[owner, src] = False
-    for t, (layer, dormant_row) in enumerate(zip(diagram.layers, dormant.tolist())):
-        x0, x1 = xb[t] + _WIRE_WIDTH, xb[t + 1]
-        zone = [f'<text x="{(x0 + x1) / 2.0:.1f}" y="{_MARGIN_Y - 18.0:.1f}" '
-                f'text-anchor="middle" {_TEXT_ATTRS}>{_escape(layer.label)}</text>']
-        ex0, ex1, lx = xw[t], xs[t + 1], f"{x0 + 0.38 * (x1 - x0):.1f}"
-        lo, hi = bounds[t], bounds[t + 1]
-        for s, d, a, ly, on in zip(srcs[lo:hi], dsts[lo:hi], amps[lo:hi],
-                                   label_ys[lo:hi], strokes[lo:hi]):
-            zone.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" {_STROKES[on]}/>')
-            zone.append(f'<text x="{lx}" y="{ly}" {_AMP_ATTRS}>{_fmt_amp(a)}</text>')
-        zone.extend(f'<line x1="{ex0}" y1="{yi}" x2="{ex1}" y2="{yi}" {_STROKES[False]}/>'
-                    for yi in itertools.compress(ys, dormant_row))
-        parts.append("\n".join(zone))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+        yield "\n".join(["", *(f'<line x1="{x_start}" y1="{yi}" x2="{x_end}" y2="{yi}" '
+                               f'{_STROKES[on]}/>' for yi, on in zip(ys, on_row))])
+    # A zone draws a line and a label per edge and up to n_lines dormant continuations.
+    for run, src, dst, amp, owner in _layer_runs(diagram.layers, n_lines):
+        y0, y1 = y[src], y[dst]
+        label_y = y0 + 0.38 * (y1 - y0) - 4.0
+        # Edges take their stroke from the activity of their source line.
+        stroke = active[owner, src]
+        # Dormant lines whose edges were pruned still continue, thin.
+        dormant = np.ones((len(run), n_lines), dtype=bool)
+        dormant[owner - run.start, src] = False
+        edges = zip(src.tolist(), dst.tolist(), amp.tolist(), label_y.tolist(), stroke.tolist())
+        chunk = [""]
+        for t, dormant_row in zip(run, dormant.tolist()):
+            layer = diagram.layers[t]
+            x0, x1 = xb[t] + _WIRE_WIDTH, xb[t + 1]
+            chunk.append(f'<text x="{(x0 + x1) / 2.0:.1f}" y="{_MARGIN_Y - 18.0:.1f}" '
+                         f'text-anchor="middle" {_TEXT_ATTRS}>{_escape(layer.label)}</text>')
+            ex0, ex1, lx = xw[t], xs[t + 1], f"{x0 + 0.38 * (x1 - x0):.1f}"
+            for s, d, a, ly, on in itertools.islice(edges, len(layer.src)):
+                chunk.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" '
+                             f'{_STROKES[on]}/>')
+                chunk.append(f'<text x="{lx}" y="{ly:.1f}" {_AMP_ATTRS}>{_fmt_amp(a)}</text>')
+            chunk.extend(f'<line x1="{ex0}" y1="{yi}" x2="{ex1}" y2="{yi}" {_STROKES[False]}/>'
+                         for yi in itertools.compress(ys, dormant_row))
+        yield "\n".join(chunk)
+    yield "\n</svg>\n"
+
+
+def render_svg(diagram: StateDiagram) -> str:
+    """SVG 1.1 rendering: horizontal basis lines, one column per layer.
+
+    Active segments and edges are thick, dormant ones thin; each edge
+    carries its amplitude to three significant digits.
+    """
+    return "".join(render_svg_chunks(diagram))

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from qsdiag.cli import MAX_STEPS, _build_parser, _parse_grid, main
 from qsdiag.diagram import MAX_DIAGRAM_EDGES
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+DEV_FULL = Path("/dev/full")  # every write to it fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -371,6 +375,60 @@ def test_unwritable_out_target_is_checked_before_the_command(tmp_path, capsys, t
     assert one_usage_error(*run(capsys, *argv, "--out", str(tmp_path / target)))
 
 
+@needs_dev_full
+@pytest.mark.parametrize("fmt", ["text", "svg"])
+def test_failing_stdout_write_is_one_error_line(fmt):
+    """A full disk behind stdout exits 2 with one `error:` line, and no second
+    report when the interpreter flushes stdout at exit."""
+    with DEV_FULL.open("w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsdiag.cli", "diagram", str(GOLDEN_DIR / "cnot.qs"),
+             "--format", fmt],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["diagram", str(GOLDEN_DIR / "mixed.qs"), "--format", "svg"],
+    ["diagram", str(GOLDEN_DIR / "mixed.qs")],
+    ["validate", "RHO"],
+], ids=["diagram-svg", "diagram-text", "validate"])
+def test_failing_out_write_is_usage_error(rho_file, capsys, argv):
+    argv = [rho_file if a == "RHO" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(DEV_FULL))
+    assert one_usage_error(code, out, err)
+    assert "No space left on device" in err
+
+
+@pytest.mark.parametrize("text", ["qubits 2\nx 9\n", "qubits 10\n" + "h 0\n" * 200],
+                         ids=["parse-error", "over-the-edge-cap"])
+def test_failed_diagram_leaves_existing_out_file_untouched(tmp_path, capsys, text):
+    circuit = tmp_path / "broken.qs"
+    circuit.write_text(text)
+    target = tmp_path / "out.svg"
+    target.write_bytes(b"earlier output\n")
+    assert one_usage_error(*run(capsys, "diagram", str(circuit), "--format", "svg",
+                                "--out", str(target)))
+    assert target.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "purify", "evolve", "trace"])
+@pytest.mark.parametrize("matrix", [np.eye(3) / 3, np.array([[0.5, 0, 0], [0, 0.5, 0]]),
+                                    np.array([[1.0]])], ids=["3x3", "2x3", "1x1"])
+def test_matrix_shape_of_no_register_is_usage_error(tmp_path, capsys, command, matrix):
+    """A matrix that is not 2^n x 2^n for n in 1..MAX_QUBITS fails on load, in every command."""
+    path = tmp_path / "rho.json"
+    path.write_text(matrix_to_json(matrix) + "\n")
+    extra = {"evolve": ["phase_flip:1"], "trace": ["0"]}.get(command, [])
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert one_usage_error(code, out, err)
+    rows, cols = matrix.shape
+    assert f"a {rows}x{cols} matrix fits no register of 1..10 qubits" in err
+
+
 def test_tol_flag_accepts_pi_fractions(rho_file, capsys):
     code, out, _ = run(capsys, "validate", rho_file, "--tol", "pi/4")
     assert code == 0
@@ -545,5 +603,5 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, rho_file, capsys, monkeypat
 def test_subcommand_is_looked_up_on_each_call(rho_file, capsys, monkeypatch):
     """A replaced `cmd_*` attribute takes effect after the parser is cached."""
     assert run(capsys, "purify", rho_file)[0] == 0
-    monkeypatch.setattr(qsdiag.cli, "cmd_purify", lambda args: ("replaced\n", 0))
+    monkeypatch.setattr(qsdiag.cli, "cmd_purify", lambda args: (["replaced\n"], 0))
     assert run(capsys, "purify", rho_file) == (0, "replaced\n", "")

@@ -3,13 +3,15 @@
 Golden circuits, matrix JSON and channel spec strings are mutated by byte
 insertion, deletion and duplication and by swapping a word for an extreme
 token, then fed to `cli.main`, with the payload sent to stdout, to an
-`--out` file, or to an `--out` target that cannot be written (a directory, a
-path under a missing directory).  Whatever the input, the call returns exit
+`--out` file, to an `--out` target that cannot be written (a directory, a
+path under a missing directory), or to `/dev/full`, where the write itself
+fails after the command has run.  Whatever the input, the call returns exit
 code 0, 1 or 2 without raising or warning, within a fixed wall time; a
 non-zero exit writes no payload and ends stderr with an `error:` line,
 except `validate`, whose failed verdict is its report; an `--out` payload
-never reaches stdout, and an unwritable target or a `--tol` on a
-subcommand that takes none always exits 2.
+never reaches stdout, an unwritable target or a `--tol` on a subcommand
+that takes none always exits 2, and a payload sent to `/dev/full` never
+exits 0.
 """
 
 import contextlib
@@ -105,8 +107,10 @@ def cases(draw):
     return argv, payload
 
 
-# Where the payload goes: stdout, an --out file, or an --out target that cannot be written.
-TARGETS = (None, "file", "directory", "missing")
+# Where the payload goes: stdout, an --out file, an --out target that cannot be
+# written, or one whose every write fails (ENOSPC), where the system has one.
+DEV_FULL = Path("/dev/full")
+TARGETS = (None, "file", "directory", "missing") + (("full",) if DEV_FULL.exists() else ())
 UNWRITABLE = ("directory", "missing")
 # Subcommands that validate no matrix and so take no --tol.
 TOLLESS = ("diagram", "ellipsoid")
@@ -114,8 +118,8 @@ TOLLESS = ("diagram", "ellipsoid")
 
 # Branches the draws reach only by the luck of their order, pinned as examples:
 # an argparse message quoting a line break, a command that would exit 1 on its
-# input but has an unwritable --out, --tol where none is taken, and purify of
-# a two-qubit matrix.
+# input but has an unwritable --out, --tol where none is taken, purify of a
+# two-qubit matrix, and a multi-chunk SVG sent to a full device.
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cases(), st.sampled_from(TARGETS))
 @example((["validate", "FILE", "a\nb"], MATRICES[0]), None)
@@ -123,6 +127,7 @@ TOLLESS = ("diagram", "ellipsoid")
 @example((["diagram", "FILE", "--mode", "complete", "--format", "text", "--tol", "1e-10"],
           CIRCUITS[0]), None)
 @example((["purify", "FILE"], MATRICES[2]), None)
+@example((["diagram", "FILE", "--mode", "complete", "--format", "svg"], CIRCUITS[-1]), "full")
 def test_cli_contract_holds_on_mutated_input(case, target):
     argv, payload = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -131,7 +136,7 @@ def test_cli_contract_holds_on_mutated_input(case, target):
             path.write_bytes(payload)
         argv = [str(path) if a == "FILE" else a for a in argv]
         out_path = {"file": Path(tmp) / "output", "directory": Path(tmp),
-                    "missing": Path(tmp) / "missing" / "output"}.get(target)
+                    "missing": Path(tmp) / "missing" / "output", "full": DEV_FULL}.get(target)
         if out_path is not None:
             argv += ["--out", str(out_path)]
         out, err = io.StringIO(), io.StringIO()
@@ -151,6 +156,8 @@ def test_cli_contract_holds_on_mutated_input(case, target):
         out = written
     if target in UNWRITABLE or (argv[0] in TOLLESS and "--tol" in argv):
         assert code == 2
+    if target == "full":
+        assert code != 0
     if code == 0:
         return
     if argv[0] == "validate" and code == 1:

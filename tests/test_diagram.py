@@ -20,7 +20,9 @@ from qsdiag import (
     make_amp_damp,
     parse_circuit,
     render_svg,
+    render_svg_chunks,
     render_text,
+    render_text_chunks,
     simulate,
     synthesize_purification_circuit,
 )
@@ -437,6 +439,20 @@ def test_mixed_golden_renders_are_byte_identical(mode):
     diag = build_diagram(circ, mode=mode)
     assert render_text(diag).encode() == (GOLDEN_DIR / f"mixed.{mode}.txt").read_bytes()
     assert render_svg(diag).encode() == (GOLDEN_DIR / f"mixed.{mode}.svg").read_bytes()
+
+
+@pytest.mark.parametrize("name, mode, golden", [
+    ("identity", "complete", "identity"), ("cnot", "simplified", "cnot"),
+    ("purify", "simplified", "purify"), ("mixed", "complete", "mixed.complete"),
+    ("mixed", "simplified", "mixed.simplified"),
+])
+def test_chunks_written_in_turn_are_the_golden_renders(name, mode, golden):
+    """Each renderer streams its document as a header, runs of layers and a footer."""
+    diag = build_diagram(parse_circuit((GOLDEN_DIR / f"{name}.qs").read_text()), mode=mode)
+    for chunks, suffix in ((render_text_chunks, "txt"), (render_svg_chunks, "svg")):
+        pieces = list(chunks(diag))
+        assert len(pieces) >= 2 and all(isinstance(piece, str) for piece in pieces)
+        assert "".join(pieces).encode() == (GOLDEN_DIR / f"{golden}.{suffix}").read_bytes()
 
 
 def test_circuit_validation_catches_misfit_gate():

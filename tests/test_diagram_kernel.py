@@ -7,7 +7,8 @@ reference renderers below, and their final active lines must cover the
 simulated support.  Circuits parsed from a small pool of repeated
 statements must match the oracle of the same circuit built gate by gate,
 while building each distinct statement once.  A guard test keeps the dense
-immersion out of the n = 10 hot path.
+immersion out of the n = 10 hot path, and another keeps the streamed
+renders' peak memory below their output's length.
 """
 
 import functools
@@ -29,7 +30,9 @@ from qsdiag import (
     build_gate,
     parse_circuit,
     render_svg,
+    render_svg_chunks,
     render_text,
+    render_text_chunks,
     simulate,
 )
 from qsdiag.diagram import EDGE_TOL, DiagramLayer, Gate, LineActivity, StateDiagram
@@ -352,6 +355,27 @@ def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
     # Everything together stays below the size of one dense 2^n x 2^n immersion.
     assert peak < 16 * 4 ** n
+
+
+@pytest.mark.parametrize("chunks, fraction", [(render_svg_chunks, 1 / 3), (render_text_chunks, 1)],
+                         ids=["svg", "text"])
+def test_streamed_render_peak_memory_stays_below_its_output(chunks, fraction):
+    """Consuming the chunks holds about one run of layers, not the document.
+
+    Sixteen `h` layers on 10 qubits in complete mode make 32,768 edges: a
+    7.9 MB SVG and a 0.9 MB text.  Streamed, the peaks read about 0.25 and
+    0.8 of those lengths; rendered whole, they read about 3x and 10x.
+    """
+    n = 10
+    circuit = parse_circuit(f"qubits {n}\n" + "".join(f"h {q % n}\n" for q in range(16)))
+    diag = build_diagram(circuit, mode="complete")
+    tracemalloc.start()
+    try:
+        length = sum(len(chunk) for chunk in chunks(diag))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fraction * length
 
 
 def dense_edges(gate, n_qubits):

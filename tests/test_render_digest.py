@@ -6,17 +6,26 @@ rendered as text and SVG in both modes; one SHA-256 covers all 240
 documents.  A second SHA-256 covers forty circuits that repeat statements
 from small pools (two 2x2 literals on one qubit in every pool, custom
 inputs), where one parsed Gate stands at many positions.  A change that
-must keep the output bytes keeps both digests.  The circuits are built from
-text with angles and literals written out in full, so the inputs do not
-depend on the random generator's floating-point path.
+must keep the output bytes keeps both digests, whether the documents are
+hashed whole or chunk by chunk as the streaming renderers make them.  The
+circuits are built from text with angles and literals written out in full,
+so the inputs do not depend on the random generator's floating-point path.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 
-from qsdiag import build_diagram, parse_circuit, render_svg, render_text
+from qsdiag import (
+    build_diagram,
+    parse_circuit,
+    render_svg,
+    render_svg_chunks,
+    render_text,
+    render_text_chunks,
+)
 
 # name -> (parameters, qubits); every base gate also comes in its c-prefixed form.
 _BASE = {
@@ -113,15 +122,20 @@ def repeated_circuit_text(gen) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_digest(make_text=random_circuit_text, n_circuits=N_CIRCUITS, seed=SEED) -> str:
+def corpus(make_text, n_circuits, seed):
+    """The diagrams of the seeded circuits, each in complete and then simplified mode."""
     gen = np.random.default_rng(seed)
-    h = hashlib.sha256()
     for _ in range(n_circuits):
         circuit = parse_circuit(make_text(gen))
         for mode in ("complete", "simplified"):
-            diagram = build_diagram(circuit, mode=mode)
-            h.update(render_text(diagram).encode())
-            h.update(render_svg(diagram).encode())
+            yield build_diagram(circuit, mode=mode)
+
+
+def render_digest(make_text=random_circuit_text, n_circuits=N_CIRCUITS, seed=SEED) -> str:
+    h = hashlib.sha256()
+    for diagram in corpus(make_text, n_circuits, seed):
+        h.update(render_text(diagram).encode())
+        h.update(render_svg(diagram).encode())
     return h.hexdigest()
 
 
@@ -132,3 +146,15 @@ def test_renders_keep_their_bytes():
 def test_renders_of_repeated_statements_keep_their_bytes():
     digest = render_digest(repeated_circuit_text, N_REPEATED_CIRCUITS, REPEATED_SEED)
     assert digest == REPEATED_DIGEST
+
+
+def test_streamed_chunks_keep_both_digests():
+    """Hashing each renderer's chunks as they are made gives the pinned bytes."""
+    for args, digest in (((random_circuit_text, N_CIRCUITS, SEED), DIGEST),
+                         ((repeated_circuit_text, N_REPEATED_CIRCUITS, REPEATED_SEED),
+                          REPEATED_DIGEST)):
+        h = hashlib.sha256()
+        for diagram in corpus(*args):
+            for chunk in itertools.chain(render_text_chunks(diagram), render_svg_chunks(diagram)):
+                h.update(chunk.encode())
+        assert h.hexdigest() == digest

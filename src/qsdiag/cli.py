@@ -18,8 +18,8 @@ capped at MAX_STEPS, and its channel must act on the state's dimension
 Input files are read as UTF-8; other bytes are malformed input (exit 2), as
 are a matrix whose shape fits no register of 1..MAX_QUBITS qubits, circuits
 beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target that cannot
-be written (a directory, a missing parent directory), which is checked
-before the subcommand runs.
+be written (empty, a directory, a missing parent directory), which is
+checked before the subcommand runs.
 
 Every `cmd_*` returns (chunks, exit code), where chunks is an iterable of
 str: one string for most subcommands, and for `diagram` the renderer's
@@ -88,6 +88,8 @@ def _read_text(path: str) -> str:
 
 def _check_out_target(path: str):
     """Refuse an unwritable --out target (exit 2) before the command does any work."""
+    if not path:
+        raise FormatError("--out target is empty")
     target = Path(path)
     if target.is_dir():
         raise FormatError(f"--out target {path!r} is a directory")
@@ -253,14 +255,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.out:
+        if args.out is not None:
             _check_out_target(args.out)
         # Looked up by name on each call, not bound into the cached parser, so a
         # replaced module attribute (a tracing wrapper, a test double) takes effect.
         chunks, code = globals()[f"cmd_{args.command}"](args)
         # The target opens only now, so a failed command leaves it untouched.
         # Flushed here, so a write error is reported once, not again at exit.
-        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w")) as out:
             for chunk in chunks:
                 out.write(chunk)
             out.flush()

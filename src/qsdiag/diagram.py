@@ -15,8 +15,11 @@ entries and two bit-scatter tables.  The dense 2^n x 2^n immersion
 (`qsdiag.composite.immerse_gate`) is never built.  A diagram keeps these
 arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
 (its `edges` property derives tuples) and each boundary's `LineActivity` a
-bool `active` array and the complex `amplitudes` array.  The renderers read
-them directly and format each line's y and each boundary's x once.
+bool `active` array and the complex `amplitudes` array.  These are rows of
+two tables per diagram, (gates + 1) x 2^n, one complex and one bool:
+`build_diagram` allocates each once, and `_step`, which `simulate` shares,
+scatters each gate from one row into the next.  The renderers read the
+arrays directly and format each line's y and each boundary's x once.
 
 A `Gate` is the one record of a gate: it holds its own read-only complex
 copy of the matrix and derives once its `label` and its non-null
@@ -26,12 +29,17 @@ pattern; the values only label them.  So `_edge_layout` caches, per key
 (n_qubits, targets, pattern), the read-only src/dst arrays and the gate
 entry each edge carries, and every gate only gathers its own values into
 that order.  Complete-mode layers hold the cached src/dst arrays
-themselves.  A layout of E edges takes 24 * E bytes; E is at most 4 * 2^n
+themselves.  The cache holds `_LAYOUT_CACHE_SIZE` = MAX_DIAGRAM_EDGES >>
+MAX_QUBITS = 256 layouts: a unitary's pattern has a non-null entry in every
+column, so every gate at n = 10 has at least 2^10 edges, a circuit under
+the cap has at most 256 gates, and building it never evicts a layout it
+uses itself.  A layout of E edges takes 24 * E bytes (int64 src and dst,
+which numpy gathers faster than narrower indices); E is at most 4 * 2^n
 for any gate the circuit syntax can express (a dense two-qubit literal),
-96 KiB at n = 10, so the `_LAYOUT_CACHE_SIZE` = 128 layouts take at most
-12 MiB.  A gate built in code on k > 2 qubits can have up to
-4^k * 2^(n-k) edges; `build_diagram` counts them before it asks for the
-layout, so a gate past `MAX_DIAGRAM_EDGES` raises without caching one.
+96 KiB at n = 10, so the cache takes at most 24 MiB.  A gate built in code
+on k > 2 qubits can have up to 4^k * 2^(n-k) edges; `build_diagram`
+counts them before it asks for the layout, so a gate past
+`MAX_DIAGRAM_EDGES` raises without caching one.
 
 `parse_circuit` builds a repeated gate once per call: it keeps a dict from
 a statement's comment-free text to its Gate and edge count, so identical
@@ -41,13 +49,17 @@ gate name or label (`matrix 0` labels every 2x2 literal on qubit 0 alike).
 An error is never stored, and the edge cap is still checked on every line.
 
 The renderers stream: `render_text_chunks` and `render_svg_chunks` yield
-the document in pieces (header, chart or wire stubs, runs of layers,
-footer), and `render_text`/`render_svg` join them.  `_layer_runs` gathers
-the edges of a run of whole layers into flat arrays, which take the run's
-array work and one `.tolist()` each, so the Python loop over layers only
-formats strings.  A run holds about `_RUN_SIZE` output lines, so many small
-layers share one round of array work and a large diagram holds one run's
-values and text at a time, not the whole document.
+the document in pieces (header, blocks of chart rows or wire stubs, runs of
+layers, footer), and `render_text`/`render_svg` join them.  `_layer_runs`
+gathers the edges of a run of whole layers into flat arrays, which take the
+run's array work and one `.tolist()` each, so the Python loop over layers
+only formats strings.  A run holds about `_RUN_SIZE` output lines, so many
+small layers share one round of array work and a large diagram holds one
+run's values and text at a time, not the whole document.  The text chart
+is byte matrices throughout, line labels included (`_line_heads`, built
+once per register size), in blocks of about `_CHART_BYTES`: blocks this
+small reuse freed heap memory, where one matrix of the whole n = 10 chart
+took fresh pages from the kernel on every render.
 
 Circuit text format, one statement per line, `#` starts a comment:
 
@@ -96,10 +108,13 @@ EDGE_TOL = 1e-12
 # Most complete-mode edges a circuit may have, checked by `parse_circuit` and
 # `build_diagram` (an SVG takes about 1 kB per edge).
 MAX_DIAGRAM_EDGES = 262_144
-# Edge layouts kept by `_edge_layout`, keyed by (n_qubits, targets, pattern).
-_LAYOUT_CACHE_SIZE = 128
+# Edge layouts kept by `_edge_layout`, keyed by (n_qubits, targets, pattern):
+# as many as a circuit under the edge cap can use at 10 qubits (256).
+_LAYOUT_CACHE_SIZE = MAX_DIAGRAM_EDGES >> MAX_QUBITS
 # Output lines a renderer formats as one run of whole layers (see `_layer_runs`).
 _RUN_SIZE = 2048
+# Bytes of the text chart formatted as one block of whole rows (see `_text_chart`).
+_CHART_BYTES = 1 << 16
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -428,18 +443,23 @@ def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
     return src, dst, gate.matrix.ravel()[entry]
 
 
-def _apply_edges(psi: np.ndarray, src, dst, amp) -> np.ndarray:
-    """The state after a gate: each edge carries amp * psi[src] onto line dst."""
-    out = np.zeros(psi.shape, dtype=psi.dtype)
+def _step(psi: np.ndarray, out: np.ndarray, gate: Gate, n_qubits: int) -> tuple:
+    """Scatter one gate from state `psi` into the zeroed `out`; return its (src, dst, amp).
+
+    Each edge (src, dst, amp) of the gate's immersed unitary adds
+    amp * psi[src] onto out[dst].
+    """
+    src, dst, amp = _gate_edges(gate, n_qubits)
     np.add.at(out, dst, amp * psi[src])
-    return out
+    return src, dst, amp
 
 
 def simulate(circuit: Circuit) -> PureState:
     """Final state of the circuit applied to its input."""
     psi = circuit.input_state.amplitudes.copy()
     for gate in circuit.gates:
-        psi = _apply_edges(psi, *_gate_edges(gate, circuit.n_qubits))
+        psi, prev = np.zeros(psi.shape, dtype=complex), psi
+        _step(prev, psi, gate, circuit.n_qubits)
     return PureState(psi, atol=1e-9)
 
 
@@ -486,33 +506,38 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     chain of edges connects it back to the input support, regardless of
     whether interference happens to cancel the amplitude on the way.  The
     carried amplitudes come from simulation, so exact cancellations show up
-    as active lines holding amplitude zero.  Raises ValueError once the
-    complete-mode edges of the gates so far pass `MAX_DIAGRAM_EDGES`, in
-    either mode.
+    as active lines holding amplitude zero.  Raises ValueError, naming the
+    gate at which the complete-mode edges pass `MAX_DIAGRAM_EDGES`, in
+    either mode and before anything is built.
     """
     if mode not in ("complete", "simplified"):
         raise ValueError(f"mode must be 'complete' or 'simplified', got {mode!r}")
-    psi = circuit.input_state.amplitudes.copy()
-    active = np.abs(psi) > EDGE_TOL
-    boundaries = [LineActivity(active, psi)]
-    layers = []
+    n_qubits, gates = circuit.n_qubits, circuit.gates
+    # Counted before anything is built, so a circuit over the cap allocates no
+    # table and caches no layout.
     n_edges = 0
-    for index, gate in enumerate(circuit.gates):
-        # Counted before the layout is built, so a gate over the cap never caches one.
-        n_edges += _edge_count(gate, circuit.n_qubits)
+    for index, gate in enumerate(gates):
+        n_edges += _edge_count(gate, n_qubits)
         if n_edges > MAX_DIAGRAM_EDGES:
             raise ValueError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges "
                              f"at gate {index} ({gate.label})")
-        src, dst, amp = _gate_edges(gate, circuit.n_qubits)
-        psi = _apply_edges(psi, src, dst, amp)
-        reached = active[src]
-        active = np.zeros(psi.size, dtype=bool)
-        active[dst[reached]] = True
+    # One table per quantity, a row per boundary, each row taken as a view
+    # once; gate t scatters from row t into row t + 1.
+    shape = (len(gates) + 1, 1 << n_qubits)
+    amps = list(np.zeros(shape, dtype=complex))
+    actives = list(np.zeros(shape, dtype=bool))
+    amps[0][:] = circuit.input_state.amplitudes
+    actives[0][:] = np.abs(amps[0]) > EDGE_TOL
+    layers = []
+    for t, gate in enumerate(gates):
+        src, dst, amp = _step(amps[t], amps[t + 1], gate, n_qubits)
+        reached = actives[t][src]
+        actives[t + 1][dst[reached]] = True
         if mode == "simplified":
             src, dst, amp = src[reached], dst[reached], amp[reached]
         layers.append(DiagramLayer(gate.label, src, dst, amp))
-        boundaries.append(LineActivity(active, psi))
-    return StateDiagram(circuit.n_qubits, mode, tuple(layers), tuple(boundaries))
+    boundaries = tuple(map(LineActivity, actives, amps))
+    return StateDiagram(n_qubits, mode, tuple(layers), boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -570,45 +595,69 @@ def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
-def _text_chart(diagram: StateDiagram) -> str:
-    """The chart of `render_text`, without its last newline.
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _line_heads(n_qubits: int) -> np.ndarray:
+    """Each chart row's newline and label "i |bits> ", as a read-only byte matrix.
 
-    It is built as one byte matrix, a row per line: label, then a piece per
-    layer, then the last segment and a newline.  Layer t's four pieces are
-    its dormant/active segment followed by a blank/numbered cell, and a
-    line's code selects one: 4t + active + 2 * touched.
+    Row i holds i's decimal digits right-aligned (leading zeros blanked) and
+    then i's bits, most significant first.
+    """
+    n_lines = 1 << n_qubits
+    iw = len(str(n_lines - 1))
+    lines = np.arange(n_lines)[:, None]
+    tens = 10 ** np.arange(iw - 1, -1, -1)
+    digits = np.where((lines < tens) & (tens > 1), ord(" "),
+                      _ascii("0123456789")[lines // tens % 10])
+    bits = _ascii("01")[lines >> np.arange(n_qubits - 1, -1, -1) & 1]
+    head = np.concatenate((np.full((n_lines, 1), ord("\n"), dtype=np.uint8), digits,
+                           np.broadcast_to(_ascii(" |"), (n_lines, 2)), bits,
+                           np.broadcast_to(_ascii("> "), (n_lines, 2))), axis=1)
+    head.flags.writeable = False
+    return head
+
+
+def _text_chart(diagram: StateDiagram) -> Iterator[str]:
+    """The chart of `render_text` in blocks of whole rows, each row led by its newline.
+
+    A block is one byte matrix, a row per line: newline, label, then a piece
+    per layer, then the last segment.  Layer t's four pieces are its
+    dormant/active segment followed by a blank/numbered cell, and a line's
+    code selects one: 4t + active + 2 * touched.  A block holds about
+    `_CHART_BYTES` bytes, so its arrays stay small however large the chart is.
     """
     n_lines = diagram.n_lines
     n_layers = len(diagram.layers)
-    iw = len(str(n_lines - 1))
     dw = len(str(max(n_layers, 1)))
     active = np.stack([b.active for b in diagram.boundaries], axis=1)
     blank = "[" + " " * dw + "]"
-    pieces = "".join(seg + cell for t in range(n_layers)
-                     for cell in (blank, f"[{t + 1:>{dw}}]") for seg in ("----", "===="))
-    code = 4 * np.arange(n_layers) + active[:, :-1]
+    pieces = _ascii("".join(seg + cell for t in range(n_layers)
+                            for cell in (blank, f"[{t + 1:>{dw}}]")
+                            for seg in ("----", "===="))).reshape(-1, dw + 6)
+    touched = np.zeros((n_lines, n_layers), dtype=bool)
     for _, src, dst, _, owner in _layer_runs(diagram.layers, 0):
-        code[src, owner] |= 2
-        code[dst, owner] |= 2
-    labels = "".join(f"{i:>{iw}} |{i:0{diagram.n_qubits}b}> " for i in range(n_lines))
-    chart = np.concatenate((
-        _ascii(labels).reshape(n_lines, -1),
-        np.take(_ascii(pieces).reshape(-1, dw + 6), code, axis=0).reshape(n_lines, -1),
-        np.take(_ascii("----===="), 4 * active[:, -1:] + np.arange(4)),
-        np.full((n_lines, 1), ord("\n"), dtype=np.uint8),
-    ), axis=1)
-    return str(chart.ravel()[:-1], "ascii")
+        touched[src, owner] = touched[dst, owner] = True
+    head = _line_heads(diagram.n_qubits)
+    last = np.take(_ascii("----===="), 4 * active[:, -1:] + np.arange(4))
+    base = 4 * np.arange(n_layers)
+    rows = max(1, _CHART_BYTES // (head.shape[1] + n_layers * (dw + 6) + 4))
+    for lo in range(0, n_lines, rows):
+        hi = lo + rows
+        code = base + active[lo:hi, :-1] + 2 * touched[lo:hi]
+        block = np.concatenate((head[lo:hi], np.take(pieces, code, axis=0).reshape(len(code), -1),
+                                last[lo:hi]), axis=1)
+        yield str(block.ravel(), "ascii")
 
 
 def render_text_chunks(diagram: StateDiagram) -> Iterator[str]:
     """`render_text`'s document in pieces, formatted as they are asked for.
 
-    The pieces are the header, the chart, one per run of layers' edge lists
-    (see `_layer_runs`), and the output amplitudes.
+    The pieces are the header, one per block of chart rows (see
+    `_text_chart`), one per run of layers' edge lists (see `_layer_runs`),
+    and the output amplitudes.
     """
     yield (f"lines: {diagram.n_lines}  layers: {len(diagram.layers)}  mode: {diagram.mode}\n"
-           f"input: {_input_label(diagram)}\n\n")
-    yield _text_chart(diagram)
+           f"input: {_input_label(diagram)}\n")
+    yield from _text_chart(diagram)
     for run, src, dst, amp, _ in _layer_runs(diagram.layers, 0):
         edges = zip(src.tolist(), dst.tolist(), amp.tolist())
         chunk = []

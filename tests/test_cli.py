@@ -361,6 +361,18 @@ def test_unwritable_out_target_is_usage_error(rho_file, tmp_path, capsys, target
     assert one_usage_error(*run(capsys, "validate", rho_file, "--out", str(tmp_path / target)))
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "RHO"],
+    ["diagram", str(GOLDEN_DIR / "cnot.qs"), "--format", "svg"],
+], ids=["validate", "diagram"])
+def test_empty_out_target_is_usage_error(rho_file, capsys, argv):
+    """`--out ""` names no file: it is refused, not taken as stdout."""
+    argv = [rho_file if a == "RHO" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert one_usage_error(code, out, err)
+    assert "empty" in err
+
+
 @pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-dir"])
 @pytest.mark.parametrize("command, matrix", [
     ("purify", np.array([[0.9, 0.5], [0.5, 0.1]])),

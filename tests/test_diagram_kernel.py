@@ -8,10 +8,13 @@ simulated support.  Circuits parsed from a small pool of repeated
 statements must match the oracle of the same circuit built gate by gate,
 while building each distinct statement once.  A guard test keeps the dense
 immersion out of the n = 10 hot path, and another keeps the streamed
-renders' peak memory below their output's length.
+renders' peak memory below their output's length.  Renders with 3- and
+4-digit line labels (n = 8, 10) must equal the reference renderers, and a
+10-qubit circuit at the edge cap must keep all its layouts cached.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -332,6 +335,20 @@ def test_one_layout_lookup_per_gate_position():
     assert lookups() == before + 2 * len(circuit.gates)
 
 
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("mode", ["complete", "simplified"])
+def test_wide_line_labels_match_the_reference_renders(n, mode):
+    """Line labels of 3 and 4 digits (n = 8, 10) and 2-digit layer cells, from a
+    custom input, in both renderers."""
+    gen = np.random.default_rng(n)
+    statements = ["h 0", f"cx 0 {n - 1}", f"swap 1 {n - 2}", f"rz(0.7) {n // 2}", "t 3"] * 2
+    circuit = parse_circuit(f"qubits {n}\n" + "\n".join(statements) + "\n")
+    circuit = Circuit(n, circuit.gates, random_pure(gen, n))
+    diag = build_diagram(circuit, mode=mode)
+    assert render_text(diag) == render_text_oracle(diag)
+    assert render_svg(diag) == render_svg_oracle(diag)
+
+
 def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("immerse_gate called on the diagram path")
@@ -411,6 +428,17 @@ def test_complete_mode_layers_share_read_only_layouts():
     assert first.src is third.src and first.dst is third.dst
 
 
+def test_boundaries_are_rows_of_one_table_per_diagram():
+    circuit = parse_circuit("qubits 3\ninput 5\nh 0\ncx 0 2\nrz(0.5) 1\n")
+    boundaries = build_diagram(circuit, mode="simplified").boundaries
+    for field_name, dtype in (("amplitudes", complex), ("active", bool)):
+        rows = [getattr(b, field_name) for b in boundaries]
+        table = rows[0].base
+        assert table.shape == (4, 8) and table.dtype == dtype
+        assert all(row.base is table for row in rows)
+        assert np.array_equal(np.stack(rows), table)
+
+
 def test_gate_over_the_cap_caches_no_layout():
     # 4^10 non-null entries on all 10 qubits: 2^20 edges, four times the cap.
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -433,3 +461,24 @@ def test_edge_layout_cache_stays_bounded():
         src, _, entry = layout(3, (0, 2), mask.tobytes())
         assert src.size == 2 * mask.sum() and set(entry.tolist()) == set(np.flatnonzero(mask))
     assert layout.cache_info().currsize <= maxsize
+
+
+def test_layouts_of_a_circuit_at_the_cap_stay_cached():
+    """A 10-qubit circuit under the edge cap has at most 256 gates (each has at
+    least 2^10 edges), so the cache keeps all of its layouts: a second build
+    looks every one up again without a miss.  Here 256 permutation literals,
+    no two with the same targets and pattern, make exactly MAX_DIAGRAM_EDGES."""
+    n = 10
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(4)))
+    gates = tuple(build_gate("matrix", (), pairs[i % len(pairs)], n,
+                             matrix=np.eye(4)[list(perms[i // len(pairs)])])
+                  for i in range(qsdiag.diagram._LAYOUT_CACHE_SIZE))
+    assert len({(gate.targets, gate.pattern) for gate in gates}) == len(gates)
+    circuit = Circuit(n, gates, basis_state(n, 0))
+    assert sum(len(layer.src) for layer in build_diagram(circuit).layers) == (
+        qsdiag.diagram.MAX_DIAGRAM_EDGES)
+    before = qsdiag.diagram._edge_layout.cache_info()
+    build_diagram(circuit, mode="simplified")
+    after = qsdiag.diagram._edge_layout.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + len(gates))

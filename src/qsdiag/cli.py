@@ -19,7 +19,9 @@ Input files are read as UTF-8; other bytes are malformed input (exit 2), as
 are a matrix whose shape fits no register of 1..MAX_QUBITS qubits, circuits
 beyond `qsdiag.diagram.MAX_DIAGRAM_EDGES` and an --out target that cannot
 be written (empty, a directory, a missing parent directory), which is
-checked before the subcommand runs.
+checked before the subcommand runs.  The register rule is `qsdiag.core`'s,
+which the library applies too, so the CLI checks no shape itself and only
+names the file in the message.
 
 Every `cmd_*` returns (chunks, exit code), where chunks is an iterable of
 str: one string for most subcommands, and for `diagram` the renderer's
@@ -47,9 +49,9 @@ from .bloch import affine_map_of_channel, ellipsoid_samples, points_to_csv
 from .channels import channel_from_spec, parse_channel_spec
 from .composite import partial_trace
 from .core import (
-    MAX_QUBITS,
     DensityMatrix,
     FormatError,
+    _register_matrix,
     matrix_from_json,
     matrix_to_json,
     matrix_to_json_dict,
@@ -98,13 +100,12 @@ def _check_out_target(path: str):
 
 
 def _load_matrix(path: str):
-    """A matrix JSON file whose shape is that of a register of 1..MAX_QUBITS qubits."""
+    """A matrix JSON file that fits a register; `qsdiag.core` decides, this names the file."""
     matrix = matrix_from_json(_read_text(path))
-    rows, cols = matrix.shape
-    if rows != cols or not 2 <= rows <= 1 << MAX_QUBITS or rows & (rows - 1):
-        raise FormatError(f"{path}: a {rows}x{cols} matrix fits no register of "
-                          f"1..{MAX_QUBITS} qubits (2^n x 2^n)")
-    return matrix
+    try:
+        return _register_matrix(matrix)[0]
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _load_density(path: str, tol: float) -> DensityMatrix:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_QUBITS, DensityMatrix, FormatError, as_complex_matrix, n_qubits_for_dim
+from .core import DensityMatrix, FormatError, _check_n_qubits, _register_matrix, as_complex_matrix
 
 
 def tensor(a, b) -> np.ndarray:
@@ -104,13 +104,8 @@ def immerse_gate(gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     space addresses targets[j].  The returned matrix acts as the gate on the
     selected qubits and as the identity elsewhere.
     """
-    g = as_complex_matrix(gate)
-    rows, cols = g.shape
-    if rows != cols:
-        raise ValueError(f"gate matrix must be square, got {rows}x{cols}")
-    k = n_qubits_for_dim(rows)
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    g, k = _register_matrix(gate)
+    _check_n_qubits(n_qubits)
     targets_t = check_qubit_subset(n_qubits, targets, name="target qubits")
     if len(targets_t) != k:
         raise ValueError(f"gate acts on {k} qubit(s) but {len(targets_t)} target(s) given")

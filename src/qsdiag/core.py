@@ -8,6 +8,12 @@ Circuits are the exception: `qsdiag.diagram` applies each small gate to
 (`PureState`, `DensityMatrix`), the spectral / validation helpers, and
 the JSON wire form used by the CLI.
 
+It also states the register rule, once for the package: a register holds
+1..MAX_QUBITS qubits and its matrices are 2^n x 2^n.  `n_qubits_for_dim`
+tests a dimension, `_check_n_qubits` a qubit count and `_register_matrix`
+a matrix; every other module calls them and keeps no copy of the rule, so
+the library refuses, with `FormatError`, exactly what the CLI refuses.
+
 Constructing a `DensityMatrix` validates it (one eigendecomposition), so
 the package builds them at its boundaries only: input matrices and final
 results.  Intermediate states, such as the steps of a repeated channel
@@ -49,14 +55,35 @@ class FormatError(ValueError):
     """
 
 
+# ---------------------------------------------------------------------------
+# The register rule (see the module docstring): 1..MAX_QUBITS qubits, 2^n x 2^n.
+
+
 def n_qubits_for_dim(dim: int) -> int:
-    """Number of qubits for a register of dimension `dim` (must be a power of two)."""
+    """Qubits of a register of dimension `dim`, which must be 2^n with 1 <= n <= MAX_QUBITS."""
     n = int(dim).bit_length() - 1
-    if dim <= 0 or (1 << n) != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    if n > MAX_QUBITS:
-        raise ValueError(f"register of {n} qubits exceeds the supported maximum of {MAX_QUBITS}")
+    if not 1 <= n <= MAX_QUBITS or 1 << n != dim:
+        raise FormatError(f"dimension {dim} fits no register of 1..{MAX_QUBITS} qubits (2^n)")
     return n
+
+
+def _check_n_qubits(n_qubits: int) -> int:
+    """`n_qubits` itself if it is a register size, 1..MAX_QUBITS."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise FormatError(f"qubit count must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    return n_qubits
+
+
+def _register_matrix(values) -> tuple:
+    """`values` as a complex matrix on a register, and the register's qubit count."""
+    m = as_complex_matrix(values)
+    rows, cols = m.shape
+    try:
+        n = n_qubits_for_dim(rows if rows == cols else 0)
+    except FormatError:
+        raise FormatError(f"a {rows}x{cols} matrix fits no register of "
+                          f"1..{MAX_QUBITS} qubits (2^n x 2^n)") from None
+    return m, n
 
 
 def as_complex_matrix(values) -> np.ndarray:
@@ -64,7 +91,7 @@ def as_complex_matrix(values) -> np.ndarray:
     m = np.asarray(values, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -89,7 +116,7 @@ class PureState:
 
     def __init__(self, amplitudes, *, atol: float = ALGEBRAIC_TOL):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValueError("state vector contains non-finite entries")
         self.n_qubits = n_qubits_for_dim(amps.size)
         norm = float(np.linalg.norm(amps))
@@ -107,9 +134,7 @@ class PureState:
 
 def basis_state(n_qubits: int, index: int) -> PureState:
     """The computational basis state |index> on an n-qubit register."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    dim = 1 << n_qubits
+    dim = 1 << _check_n_qubits(n_qubits)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubit(s)")
     amps = np.zeros(dim, dtype=complex)
@@ -126,11 +151,7 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix, *, atol: float = ALGEBRAIC_TOL, psd_tol: float = PSD_SLACK):
-        m = as_complex_matrix(matrix)
-        rows, cols = m.shape
-        if rows != cols:
-            raise ValueError(f"density matrix must be square, got {rows}x{cols}")
-        self.n_qubits = n_qubits_for_dim(rows)
+        m, self.n_qubits = _register_matrix(matrix)
         report = validate_density(m, tol=max(atol, psd_tol))
         if report.hermiticity_defect > atol:
             raise ValueError(f"matrix is not Hermitian (defect {report.hermiticity_defect:.3e})")
@@ -173,10 +194,7 @@ def validate_density(matrix, tol: float = SPECTRAL_TOL) -> DensityReport:
     defect |tr M - 1| and the minimum eigenvalue of the hermitized matrix.
     The report passes iff all three are within `tol`.
     """
-    m = as_complex_matrix(matrix)
-    rows, cols = m.shape
-    if rows != cols:
-        raise ValueError(f"expected a square matrix, got {rows}x{cols}")
+    m = _register_matrix(matrix)[0]
     # Finite entries near the float limit overflow the defects to inf, and
     # every check on the report rejects such a matrix, so the overflow is not
     # warned about.
@@ -237,8 +255,8 @@ def matrix_to_json_dict(matrix) -> dict:
     return {
         "rows": rows,
         "cols": cols,
-        "re": [float(x) + 0.0 for x in m.real.reshape(-1)],
-        "im": [float(x) + 0.0 for x in m.imag.reshape(-1)],
+        "re": (m.real.reshape(-1) + 0.0).tolist(),
+        "im": (m.imag.reshape(-1) + 0.0).tolist(),
     }
 
 
@@ -265,13 +283,12 @@ def matrix_from_json_dict(doc) -> np.ndarray:
     if not set(map(type, re_part)).union(map(type, im_part)) <= {int, float}:
         raise FormatError("re/im entries must be JSON numbers, not strings, booleans or arrays")
     try:
-        re_arr = np.array(re_part, dtype=float)
-        im_arr = np.array(im_part, dtype=float)
+        parts = np.array((re_part, im_part), dtype=float)
     except OverflowError as exc:
         raise FormatError(f"re/im entries must be numbers: {exc}") from None
-    if not np.all(np.isfinite(re_arr)) or not np.all(np.isfinite(im_arr)):
+    if not np.isfinite(parts).all():
         raise FormatError("matrix entries must be finite")
-    return (re_arr + 1j * im_arr).reshape(rows, cols)
+    return (parts[0] + 1j * parts[1]).reshape(rows, cols)
 
 
 def matrix_to_json(matrix) -> str:

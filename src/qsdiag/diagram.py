@@ -98,6 +98,7 @@ from .core import (
     SIGMA_Z,
     FormatError,
     PureState,
+    _check_n_qubits,
     parse_complex,
     parse_number,
     unitarity_defect,
@@ -209,8 +210,7 @@ class Circuit:
     input_state: PureState
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        _check_n_qubits(self.n_qubits)
         if self.input_state.n_qubits != self.n_qubits:
             raise ValueError("input state size does not match the register")
         for g in dict.fromkeys(self.gates):  # each distinct Gate once
@@ -336,9 +336,7 @@ def parse_circuit(text: str) -> Circuit:
             if n_qubits is None:
                 if head != "qubits":
                     raise ValueError("first statement must be 'qubits N'")
-                n_qubits = _int(rest, "qubit count")
-                if not 1 <= n_qubits <= MAX_QUBITS:
-                    raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n_qubits}")
+                n_qubits = _check_n_qubits(_int(rest, "qubit count"))
                 continue
 
             if head == "qubits":
@@ -597,23 +595,11 @@ def _ascii(text: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def _line_heads(n_qubits: int) -> np.ndarray:
-    """Each chart row's newline and label "i |bits> ", as a read-only byte matrix.
-
-    Row i holds i's decimal digits right-aligned (leading zeros blanked) and
-    then i's bits, most significant first.
-    """
+    """Each chart row's newline and label "i |bits> ", as a read-only byte matrix."""
     n_lines = 1 << n_qubits
     iw = len(str(n_lines - 1))
-    lines = np.arange(n_lines)[:, None]
-    tens = 10 ** np.arange(iw - 1, -1, -1)
-    digits = np.where((lines < tens) & (tens > 1), ord(" "),
-                      _ascii("0123456789")[lines // tens % 10])
-    bits = _ascii("01")[lines >> np.arange(n_qubits - 1, -1, -1) & 1]
-    head = np.concatenate((np.full((n_lines, 1), ord("\n"), dtype=np.uint8), digits,
-                           np.broadcast_to(_ascii(" |"), (n_lines, 2)), bits,
-                           np.broadcast_to(_ascii("> "), (n_lines, 2))), axis=1)
-    head.flags.writeable = False
-    return head
+    heads = "".join(f"\n{i:>{iw}} |{i:0{n_qubits}b}> " for i in range(n_lines))
+    return _ascii(heads).reshape(n_lines, -1)
 
 
 def _text_chart(diagram: StateDiagram) -> Iterator[str]:

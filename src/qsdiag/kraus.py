@@ -24,6 +24,7 @@ from .core import (
     DensityMatrix,
     FormatError,
     PureState,
+    _register_matrix,
     as_complex_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -47,20 +48,10 @@ class KrausChannel:
     def __post_init__(self):
         if not self.operators:
             raise ValueError("channel needs at least one operator")
-        ops = []
-        dim = None
-        for op in self.operators:
-            m = as_complex_matrix(op)
-            rows, cols = m.shape
-            if rows != cols:
-                raise ValueError(f"Kraus operators must be square, got {rows}x{cols}")
-            if dim is None:
-                dim = rows
-                n_qubits_for_dim(dim)
-            elif rows != dim:
-                raise ValueError("all Kraus operators must share one dimension")
-            ops.append(m)
-        object.__setattr__(self, "operators", tuple(ops))
+        ops = tuple(_register_matrix(op)[0] for op in self.operators)
+        if any(op.shape != ops[0].shape for op in ops):
+            raise ValueError("all Kraus operators must share one dimension")
+        object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:

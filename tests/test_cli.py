@@ -13,7 +13,10 @@ import qsdiag.core
 import qsdiag.kraus
 from qsdiag import matrix_from_json, matrix_to_json
 from qsdiag.cli import MAX_STEPS, _build_parser, _parse_grid, main
-from qsdiag.diagram import MAX_DIAGRAM_EDGES
+from qsdiag.composite import immerse_gate
+from qsdiag.core import I2, DensityMatrix, FormatError, PureState, basis_state, validate_density
+from qsdiag.diagram import MAX_DIAGRAM_EDGES, Circuit, parse_circuit
+from qsdiag.kraus import KrausChannel
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 DEV_FULL = Path("/dev/full")  # every write to it fails with ENOSPC
@@ -439,6 +442,39 @@ def test_matrix_shape_of_no_register_is_usage_error(tmp_path, capsys, command, m
     assert one_usage_error(code, out, err)
     rows, cols = matrix.shape
     assert f"a {rows}x{cols} matrix fits no register of 1..10 qubits" in err
+
+
+def _register_refusals():
+    """(library call, argument) pairs that break the register rule, one per case."""
+    takes_matrix = {
+        "DensityMatrix": DensityMatrix,
+        "validate_density": validate_density,
+        "PureState": lambda m: PureState(m[0]),  # a vector of the row's length
+        "KrausChannel": lambda m: KrausChannel((m,)),
+        "immerse_gate": lambda m: immerse_gate(m, [0], 1),
+    }
+    takes_size = {
+        "basis_state": lambda n: basis_state(n, 0),
+        "Circuit": lambda n: Circuit(n, (), basis_state(1, 0)),
+        "immerse_gate": lambda n: immerse_gate(I2, [0], n),
+        "parse_circuit": lambda n: parse_circuit(f"qubits {n}\n"),
+    }
+    for rows, cols in [(1, 1), (2, 3), (3, 3), (2048, 2048)]:
+        # A read-only view of one entry: the 2048 x 2048 case allocates no 64 MB matrix.
+        matrix = np.broadcast_to(np.complex128(1 / rows), (rows, cols))
+        for name, call in takes_matrix.items():
+            yield pytest.param(call, matrix, id=f"{name}-{rows}x{cols}")
+    for n in (0, 11):
+        for name, call in takes_size.items():
+            yield pytest.param(call, n, id=f"{name}-{n}-qubits")
+
+
+@pytest.mark.parametrize("call, arg", _register_refusals())
+def test_library_refuses_what_fits_no_register(call, arg):
+    """The library applies the CLI's register rule: 1..10 qubits, 2^n x 2^n matrices."""
+    with pytest.raises(FormatError, match=r"fits no register of 1\.\.10 qubits|"
+                                          r"qubit count must be in 1\.\.10"):
+        call(arg)
 
 
 def test_tol_flag_accepts_pi_fractions(rho_file, capsys):

@@ -21,7 +21,7 @@ _EXPORTS = {
         "make_amp_damp", "make_deformation", "make_depolarizing_general",
         "make_depolarizing_standard", "make_rotation", "parse_channel_spec",
     ),
-    "composite": ("immerse_gate", "partial_trace", "permute_qubits", "tensor"),
+    "composite": ("partial_trace", "tensor"),
     "core": (
         "DensityMatrix", "DensityReport", "FormatError", "PureState", "basis_state",
         "dm_from_pure", "matrix_from_json", "matrix_to_json", "parse_number",

@@ -15,7 +15,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .core import I2, PAULIS, DensityMatrix
+from .core import I2, PAULIS, DensityMatrix, FormatError
 from .kraus import COMPLETENESS_TOL, KrausChannel, _check_trace_preserving, _operator_sum
 
 NORM_SLACK = 1e-10
@@ -34,7 +34,7 @@ def _bloch_coords(m: np.ndarray) -> np.ndarray:
 def bloch_from_dm(rho: DensityMatrix) -> np.ndarray:
     """Coordinates (X, Y, Z) of a single-qubit density matrix."""
     if rho.n_qubits != 1:
-        raise ValueError("Bloch coordinates are defined for single-qubit states")
+        raise FormatError("Bloch coordinates are defined for single-qubit states")
     return _bloch_coords(rho.matrix)
 
 
@@ -42,7 +42,7 @@ def dm_from_bloch(vector) -> DensityMatrix:
     """Density matrix with the given Bloch coordinates (norm at most 1)."""
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.size != 3:
-        raise ValueError(f"Bloch vector needs 3 components, got {v.size}")
+        raise FormatError(f"Bloch vector needs 3 components, got {v.size}")
     norm = float(np.linalg.norm(v))
     if norm > 1.0 + NORM_SLACK:
         raise ValueError(f"Bloch vector lies outside the unit ball: |v| = {norm!r}")
@@ -72,7 +72,7 @@ def affine_map_of_channel(channel: KrausChannel) -> BlochAffineMap:
     through the raw operator sum unvalidated.
     """
     if channel.dim != 2:
-        raise ValueError("affine extraction is defined for single-qubit channels")
+        raise FormatError("affine extraction is defined for single-qubit channels")
     _check_trace_preserving(channel, COMPLETENESS_TOL)
     center = _bloch_coords(_operator_sum(channel, I2 / 2.0))
     columns = [_bloch_coords(_operator_sum(channel, (I2 + sigma) / 2.0)) - center
@@ -119,9 +119,9 @@ def ellipsoid_samples(affine: BlochAffineMap, n_lat: int, n_lon: int) -> np.ndar
     shape is always (n_lat * n_lon, 3).
     """
     if n_lat < 2:
-        raise ValueError(f"n_lat must be at least 2 to include both poles, got {n_lat}")
+        raise FormatError(f"n_lat must be at least 2 to include both poles, got {n_lat}")
     if n_lon < 2:
-        raise ValueError(f"n_lon must be at least 2, got {n_lon}")
+        raise FormatError(f"n_lon must be at least 2, got {n_lon}")
     colat = [math.pi * i / (n_lat - 1) for i in range(n_lat)]
     lon = [2.0 * math.pi * j / n_lon for j in range(n_lon)]
     sin_c = np.array([math.sin(a) for a in colat])[:, None]
@@ -143,7 +143,7 @@ def points_to_csv(points) -> str:
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
+        raise FormatError(f"expected an (N, 3) array, got shape {pts.shape}")
     row = "{:.17g},{:.17g},{:.17g}\n".format
     blocks = ["x,y,z\n"]
     for start in range(0, len(pts), CSV_BLOCK_ROWS):

@@ -11,8 +11,8 @@ drawn thin.
 Diagrams and simulation are built gate-locally: the immersed unitary is
 the 2^k x 2^k gate on its targets and the identity elsewhere, so its
 edges, and the next state vector, follow from the gate's own non-null
-entries and two bit-scatter tables.  The dense 2^n x 2^n immersion
-(`qsdiag.composite.immerse_gate`) is never built.  A diagram keeps these
+entries and two bit-scatter tables.  The dense 2^n x 2^n immersion is
+never built; it exists only as the tests' oracle.  A diagram keeps these
 arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
 (its `edges` property derives tuples) and each boundary's `LineActivity` a
 bool `active` array and the complex `amplitudes` array.  These are rows of
@@ -212,16 +212,16 @@ class Circuit:
     def __post_init__(self):
         _check_n_qubits(self.n_qubits)
         if self.input_state.n_qubits != self.n_qubits:
-            raise ValueError("input state size does not match the register")
+            raise FormatError("input state size does not match the register")
         for g in dict.fromkeys(self.gates):  # each distinct Gate once
             if g.targets != tuple(sorted(set(g.qubit_args))):
-                raise ValueError(
+                raise FormatError(
                     f"gate {g.label!r} targets {g.targets} are not its qubit arguments "
                     f"sorted and distinct")
             if not all(0 <= q < self.n_qubits for q in g.targets):
-                raise ValueError(f"gate {g.label!r} targets a qubit outside the register")
+                raise FormatError(f"gate {g.label!r} targets a qubit outside the register")
             if g.matrix.shape != (1 << len(g.targets),) * 2:
-                raise ValueError(
+                raise FormatError(
                     f"gate {g.label!r} matrix does not fit its {len(g.targets)} target(s)")
 
 

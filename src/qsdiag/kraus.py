@@ -47,10 +47,10 @@ class KrausChannel:
 
     def __post_init__(self):
         if not self.operators:
-            raise ValueError("channel needs at least one operator")
+            raise FormatError("channel needs at least one operator")
         ops = tuple(_register_matrix(op)[0] for op in self.operators)
         if any(op.shape != ops[0].shape for op in ops):
-            raise ValueError("all Kraus operators must share one dimension")
+            raise FormatError("all Kraus operators must share one dimension")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -102,7 +102,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
             f"channel dimension {channel.dim} does not match state dimension {rho.dim}"
         )
     if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+        raise FormatError(f"steps must be non-negative, got {steps}")
     defect = _check_trace_preserving(channel, tol)
     if steps == 0:
         return rho
@@ -127,12 +127,12 @@ def kraus_from_unitary(unitary, env_state: PureState) -> KrausChannel:
     """
     u = as_complex_matrix(unitary)
     if u.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 unitary, got {u.shape[0]}x{u.shape[1]}")
+        raise FormatError(f"expected a 4x4 unitary, got {u.shape[0]}x{u.shape[1]}")
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:  # also rejects NaN
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     if env_state.n_qubits != 1:
-        raise ValueError("environment state must be a single qubit")
+        raise FormatError("environment state must be a single qubit")
     a, b = env_state.amplitudes
     f0 = a * u[0:2, 0:2] + b * u[0:2, 2:4]
     f1 = a * u[2:4, 0:2] + b * u[2:4, 2:4]
@@ -149,9 +149,9 @@ def dilate_single_ancilla(channel: KrausChannel) -> np.ndarray:
     vectors taken in index order, which makes the result deterministic.
     """
     if channel.dim != 2:
-        raise ValueError("dilation is defined for single-qubit channels")
+        raise FormatError("dilation is defined for single-qubit channels")
     if len(channel.operators) > 2:
-        raise ValueError(
+        raise FormatError(
             f"dilation needs at most two operators, channel has {len(channel.operators)}"
         )
     _check_trace_preserving(channel, COMPLETENESS_TOL)

@@ -1,8 +1,10 @@
 """Shared oracles and random generators for the test suite.
 
 Oracles here deliberately avoid the library's own code paths: the partial
-trace works on reshaped axes, Bloch maps come from Pauli traces over raw
-Kraus sums, and unitaries are drawn via QR with a column phase fix.
+trace and the qubit relabelling work on reshaped axes, the dense immersion
+of a gate reads each entry off the bits of its row and column index, Bloch
+maps come from Pauli traces over raw Kraus sums, and unitaries are drawn
+via QR with a column phase fix.
 """
 
 import numpy as np
@@ -42,6 +44,33 @@ def partial_trace_oracle(matrix, n_qubits: int, traced) -> np.ndarray:
         arr = np.trace(arr, axis1=k - 1 - q, axis2=2 * k - 1 - q)
         k -= 1
     return arr.reshape(2 ** k, 2 ** k)
+
+
+def permute_oracle(matrix, perm) -> np.ndarray:
+    """Relabel qubits by transposing axes: qubit k moves to position perm[k]."""
+    n = len(perm)
+    arr = np.asarray(matrix, dtype=complex).reshape([2] * (2 * n))
+    # Axis n-1-q addresses qubit q of the row index, axis 2n-1-q of the column.
+    axes = [0] * (2 * n)
+    for k, p in enumerate(perm):
+        axes[n - 1 - p] = n - 1 - k
+        axes[2 * n - 1 - p] = 2 * n - 1 - k
+    return arr.transpose(axes).reshape(2 ** n, 2 ** n)
+
+
+def immerse_oracle(gate, targets, n_qubits: int) -> np.ndarray:
+    """The dense 2^n x 2^n immersion of `gate` on `targets`, entry by entry.
+
+    Bit j of the gate's index addresses qubit targets[j].  Entry (r, c) is
+    the gate entry on r's and c's target bits when r and c agree on every
+    other qubit, and 0 otherwise.
+    """
+    g = np.asarray(gate, dtype=complex)
+    index = np.arange(2 ** n_qubits)
+    local = sum(((index >> t) & 1) << j for j, t in enumerate(targets))
+    others = index & ~sum(1 << t for t in targets)
+    same_others = others[:, None] == others[None, :]
+    return np.where(same_others, g[local[:, None], local[None, :]], 0)
 
 
 def kraus_apply_raw(operators, matrix) -> np.ndarray:

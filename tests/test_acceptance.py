@@ -22,7 +22,6 @@ from qsdiag import (
     CHANNEL_KINDS,
     ChannelSpec,
     DensityMatrix,
-    PureState,
     affine_map_of_channel,
     apply_channel,
     build_diagram,

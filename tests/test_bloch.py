@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_oracle, random_density
+from helpers import random_density
 from qsdiag import (
     CHANNEL_KINDS,
     BlochAffineMap,

@@ -17,7 +17,6 @@ from qsdiag import (
     CHANNEL_KINDS,
     ChannelSpec,
     KrausChannel,
-    DensityMatrix,
     apply_channel,
     channel_with_ancilla,
     dm_from_bloch,

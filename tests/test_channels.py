@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    PAULIS,
     SX,
     SY,
     SZ,

@@ -12,11 +12,18 @@ import qsdiag.cli
 import qsdiag.core
 import qsdiag.kraus
 from qsdiag import matrix_from_json, matrix_to_json
+from qsdiag.bloch import (
+    BlochAffineMap,
+    affine_map_of_channel,
+    bloch_from_dm,
+    dm_from_bloch,
+    ellipsoid_samples,
+    points_to_csv,
+)
 from qsdiag.cli import MAX_STEPS, _build_parser, _parse_grid, main
-from qsdiag.composite import immerse_gate
-from qsdiag.core import I2, DensityMatrix, FormatError, PureState, basis_state, validate_density
-from qsdiag.diagram import MAX_DIAGRAM_EDGES, Circuit, parse_circuit
-from qsdiag.kraus import KrausChannel
+from qsdiag.core import DensityMatrix, FormatError, PureState, basis_state, validate_density
+from qsdiag.diagram import MAX_DIAGRAM_EDGES, Circuit, Gate, build_gate, parse_circuit
+from qsdiag.kraus import KrausChannel, apply_channel, dilate_single_ancilla, kraus_from_unitary
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 DEV_FULL = Path("/dev/full")  # every write to it fails with ENOSPC
@@ -451,12 +458,10 @@ def _register_refusals():
         "validate_density": validate_density,
         "PureState": lambda m: PureState(m[0]),  # a vector of the row's length
         "KrausChannel": lambda m: KrausChannel((m,)),
-        "immerse_gate": lambda m: immerse_gate(m, [0], 1),
     }
     takes_size = {
         "basis_state": lambda n: basis_state(n, 0),
         "Circuit": lambda n: Circuit(n, (), basis_state(1, 0)),
-        "immerse_gate": lambda n: immerse_gate(I2, [0], n),
         "parse_circuit": lambda n: parse_circuit(f"qubits {n}\n"),
     }
     for rows, cols in [(1, 1), (2, 3), (3, 3), (2048, 2048)]:
@@ -475,6 +480,49 @@ def test_library_refuses_what_fits_no_register(call, arg):
     with pytest.raises(FormatError, match=r"fits no register of 1\.\.10 qubits|"
                                           r"qubit count must be in 1\.\.10"):
         call(arg)
+
+
+_IDENTITY_MAP = BlochAffineMap(np.eye(3), np.zeros(3))
+# case id -> (library call, its message): arguments that do not fit each other.
+_MISFITS = {
+    "KrausChannel-no-operators": (lambda: KrausChannel(()), "at least one operator"),
+    "KrausChannel-two-sizes": (lambda: KrausChannel((np.eye(2), np.eye(4))), "share one dimension"),
+    "apply_channel-negative-steps": (
+        lambda: apply_channel(KrausChannel((np.eye(2),)), DensityMatrix(MIXED), steps=-1),
+        "non-negative"),
+    "kraus_from_unitary-2x2": (lambda: kraus_from_unitary(np.eye(2), PureState([1, 0])), "4x4"),
+    "kraus_from_unitary-2-qubit-environment": (
+        lambda: kraus_from_unitary(np.eye(4), basis_state(2, 0)), "single qubit"),
+    "dilate_single_ancilla-2-qubit": (
+        lambda: dilate_single_ancilla(KrausChannel((np.eye(4),))), "single-qubit"),
+    "dilate_single_ancilla-3-operators": (
+        lambda: dilate_single_ancilla(KrausChannel((np.eye(2) / math.sqrt(3),) * 3)),
+        "at most two operators"),
+    "bloch_from_dm-2-qubit": (lambda: bloch_from_dm(DensityMatrix(np.eye(4) / 4)), "single-qubit"),
+    "dm_from_bloch-2-components": (lambda: dm_from_bloch([0.0, 0.0]), "3 components"),
+    "affine_map_of_channel-2-qubit": (
+        lambda: affine_map_of_channel(KrausChannel((np.eye(4),))), "single-qubit"),
+    "ellipsoid_samples-1-latitude": (lambda: ellipsoid_samples(_IDENTITY_MAP, 1, 4), "n_lat"),
+    "ellipsoid_samples-1-longitude": (lambda: ellipsoid_samples(_IDENTITY_MAP, 4, 1), "n_lon"),
+    "points_to_csv-Nx2": (lambda: points_to_csv(np.zeros((2, 2))), r"\(N, 3\)"),
+    "Circuit-input-size": (lambda: Circuit(2, (), basis_state(1, 0)), "input state size"),
+    "Circuit-unsorted-targets": (
+        lambda: Circuit(2, (Gate("x", (), (1,), (0,), np.eye(2)[::-1]),), basis_state(2, 0)),
+        "sorted and distinct"),
+    "Circuit-target-outside": (
+        lambda: Circuit(1, (build_gate("x", (), (1,), 2),), basis_state(1, 0)), "outside"),
+    "Circuit-matrix-misfit": (
+        lambda: Circuit(1, (Gate("x", (), (0,), (0,), np.eye(4)),), basis_state(1, 0)),
+        "does not fit"),
+}
+
+
+@pytest.mark.parametrize("call, message", _MISFITS.values(), ids=_MISFITS)
+def test_library_refuses_arguments_that_do_not_fit(call, message):
+    """Arguments that do not fit each other are a `FormatError`, as `core.FormatError`
+    files them; no CLI route reaches these calls, so exit codes do not move."""
+    with pytest.raises(FormatError, match=message):
+        call()
 
 
 def test_tol_flag_accepts_pi_fractions(rho_file, capsys):

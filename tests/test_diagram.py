@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_pure, random_unitary
+from helpers import immerse_oracle, random_pure, random_unitary
 from qsdiag import (
     Circuit,
     CircuitParseError,
@@ -16,7 +16,6 @@ from qsdiag import (
     build_diagram,
     build_gate,
     decompose_map,
-    immerse_gate,
     make_amp_damp,
     parse_circuit,
     render_svg,
@@ -143,12 +142,12 @@ def test_parse_errors_carry_positions():
 
 # --- gates and simulation ----------------------------------------------------
 
-def test_build_gate_immersion_matches_composite():
+def test_build_gate_matrix_and_oracle_immersion_match_kron():
     gate = build_gate("x", (), (0,), 2)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     assert np.array_equal(gate.matrix, x)
     assert np.array_equal(
-        immerse_gate(x, [0], 2),
+        immerse_oracle(gate.matrix, gate.targets, 2),
         np.kron(np.eye(2), x),
     )
 
@@ -210,9 +209,8 @@ def test_complete_mode_edge_count_matches_entry_count():
     circ = parse_circuit("qubits 2\nh 0\ncx 0 1\nswap 0 1\n")
     diag = build_diagram(circ, mode="complete")
     for gate, layer in zip(circ.gates, diag.layers):
-        u = immerse_gate(gate.matrix, sorted(gate.targets), 2)
-        # build_gate stores the matrix in listed order; re-immersing the
-        # sorted form must agree with the layer's edge count
+        u = immerse_oracle(gate.matrix, gate.targets, 2)
+        # complete mode keeps one edge per non-null entry of the immersion
         expect = int((np.abs(u) > EDGE_TOL).sum())
         assert len(layer.edges) == expect
 
@@ -253,7 +251,7 @@ def diagram_oracle(circuit, mode):
     active = [bool(abs(a) > EDGE_TOL) for a in psi]
     layers, boundaries = [], [(active, list(psi))]
     for gate in circuit.gates:
-        u = immerse_gate(gate.matrix, gate.targets, circuit.n_qubits)
+        u = immerse_oracle(gate.matrix, gate.targets, circuit.n_qubits)
         psi = u @ psi
         edges = [(src, dst, complex(u[dst, src]))
                  for src in range(psi.size) for dst in range(psi.size)

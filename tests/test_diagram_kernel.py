@@ -1,4 +1,8 @@
-"""The gate-local diagram kernel against the dense `immerse_gate` oracle.
+"""The gate-local diagram kernel against the dense immersion oracle.
+
+The oracle (`helpers.immerse_oracle`) reads every entry of a gate's
+2^n x 2^n immersion off the bits of its row and column index, and shares
+no code with the kernel's bit-scatter tables.
 
 Random circuits over the whole gate set (n <= 7, both modes, basis and
 custom inputs) must give the oracle's edges, labels and activity exactly,
@@ -6,11 +10,12 @@ its amplitudes to 1e-12, and renders byte-identical to the per-layer
 reference renderers below, and their final active lines must cover the
 simulated support.  Circuits parsed from a small pool of repeated
 statements must match the oracle of the same circuit built gate by gate,
-while building each distinct statement once.  A guard test keeps the dense
-immersion out of the n = 10 hot path, and another keeps the streamed
-renders' peak memory below their output's length.  Renders with 3- and
-4-digit line labels (n = 8, 10) must equal the reference renderers, and a
-10-qubit circuit at the edge cap must keep all its layouts cached.
+while building each distinct statement once.  A guard test keeps the peak
+memory of an n = 10 build and simulation below one dense immersion, and
+another keeps the streamed renders' peak memory below their output's
+length.  Renders with 3- and 4-digit line labels (n = 8, 10) must equal
+the reference renderers, and a 10-qubit circuit at the edge cap must keep
+all its layouts cached.
 """
 
 import functools
@@ -23,9 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qsdiag.composite
 import qsdiag.diagram
-from helpers import random_pure, random_unitary
+from helpers import immerse_oracle, random_pure, random_unitary
 from qsdiag import (
     Circuit,
     basis_state,
@@ -349,12 +353,7 @@ def test_wide_line_labels_match_the_reference_renders(n, mode):
     assert render_svg(diag) == render_svg_oracle(diag)
 
 
-def test_n10_diagram_never_builds_the_dense_immersion(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("immerse_gate called on the diagram path")
-
-    monkeypatch.setattr(qsdiag.composite, "immerse_gate", refuse)
-    monkeypatch.setattr(qsdiag.diagram, "immerse_gate", refuse, raising=False)
+def test_n10_diagram_never_builds_the_dense_immersion():
     n = 10
     circuit = parse_circuit(
         f"qubits {n}\n"
@@ -397,7 +396,7 @@ def test_streamed_render_peak_memory_stays_below_its_output(chunks, fraction):
 
 def dense_edges(gate, n_qubits):
     """(src, dst, amp) of every non-null entry of the dense immersion, in (src, dst) order."""
-    u = qsdiag.composite.immerse_gate(gate.matrix, gate.targets, n_qubits)
+    u = immerse_oracle(gate.matrix, gate.targets, n_qubits)
     return [(src, dst, complex(u[dst, src])) for src in range(2 ** n_qubits)
             for dst in range(2 ** n_qubits) if abs(u[dst, src]) > EDGE_TOL]
 

@@ -16,11 +16,15 @@ from itertools import starmap
 import numpy as np
 
 from .core import I2, PAULIS, DensityMatrix, FormatError
-from .kraus import COMPLETENESS_TOL, KrausChannel, _check_trace_preserving, _operator_sum
+from .kraus import COMPLETENESS_TOL, KrausChannel, _check_trace_preserving, _transfer_matrix
 
 NORM_SLACK = 1e-10
 # Rows formatted per block by `points_to_csv`, bounding its transient lists.
 CSV_BLOCK_ROWS = 4096
+# The affine probes I/2 and the +x, +y, +z axis states as row-major vec
+# columns: T @ _PROBES is a stack of matrix-vector products, which round as
+# `apply_channel`'s one product per probe does.
+_PROBES = np.stack([I2 / 2.0] + [(I2 + sigma) / 2.0 for sigma in PAULIS]).reshape(4, 4, 1)
 
 
 def _bloch_coords(m: np.ndarray) -> np.ndarray:
@@ -69,14 +73,15 @@ def affine_map_of_channel(channel: KrausChannel) -> BlochAffineMap:
     is the image of the +j axis state minus the translation.  For any channel
     that acts affinely on the coordinates this extraction is exact.  The
     channel is checked once; the probes are exact density matrices and pass
-    through the raw operator sum unvalidated.
+    unvalidated through one product with the channel's transfer matrix, the
+    kernel `apply_channel` steps with.
     """
     if channel.dim != 2:
         raise FormatError("affine extraction is defined for single-qubit channels")
     _check_trace_preserving(channel, COMPLETENESS_TOL)
-    center = _bloch_coords(_operator_sum(channel, I2 / 2.0))
-    columns = [_bloch_coords(_operator_sum(channel, (I2 + sigma) / 2.0)) - center
-               for sigma in PAULIS]
+    images = (_transfer_matrix(channel) @ _PROBES).reshape(4, 2, 2)
+    center = _bloch_coords(images[0])
+    columns = [_bloch_coords(image) - center for image in images[1:]]
     return BlochAffineMap(np.column_stack(columns), center)
 
 

@@ -91,7 +91,7 @@ def make_rotation(axis: str, theta: float) -> KrausChannel:
     elif axis == "z":
         op = np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=complex)
     else:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+        raise FormatError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
     return KrausChannel((op,), name=f"rotation_{axis}")
 
 
@@ -104,7 +104,7 @@ def make_deformation(kind: str, theta: float) -> KrausChannel:
     controlled-sigma_a gate and discarding the ancilla.
     """
     if kind not in _DEFORMATION_AXES:
-        raise ValueError(f"unknown deformation kind {kind!r}")
+        raise FormatError(f"unknown deformation kind {kind!r}")
     _check_bounded_theta(kind, theta)
     weights = [abs(math.cos(theta / 2.0)), 0.0, 0.0, 0.0]
     weights[_DEFORMATION_AXES[kind]] = abs(math.sin(theta / 2.0))
@@ -123,7 +123,7 @@ def make_amp_damp(axis: str, sign: str, theta: float) -> KrausChannel:
     Hadamard-like frame for the x and y poles.
     """
     if (axis, sign) not in _POLE_FRAMES:
-        raise ValueError(f"no pole {axis!r}/{sign!r}: axis is x, y or z, sign plus or minus")
+        raise FormatError(f"no pole {axis!r}/{sign!r}: axis is x, y or z, sign plus or minus")
     name = f"amp_damp_{axis}_{sign}"
     _check_bounded_theta(name, theta)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)

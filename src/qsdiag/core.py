@@ -136,7 +136,7 @@ def basis_state(n_qubits: int, index: int) -> PureState:
     """The computational basis state |index> on an n-qubit register."""
     dim = 1 << _check_n_qubits(n_qubits)
     if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {n_qubits} qubit(s)")
+        raise FormatError(f"basis index {index} out of range for {n_qubits} qubit(s)")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return PureState(amps)

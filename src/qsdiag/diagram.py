@@ -246,7 +246,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
         raise ValueError(f"gate qubit arguments {qubits} must be distinct")
     for q in qubits:
         if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit {q} out of range for {n_qubits} qubit register")
+            raise FormatError(f"qubit {q} out of range for {n_qubits} qubit register")
 
     if name == "matrix":
         if matrix is None:
@@ -268,7 +268,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             base_name = name[1:]
             controlled = True
         if base_name not in _BASE_GATES:
-            raise ValueError(f"unknown gate {name!r}")
+            raise FormatError(f"unknown gate {name!r}")
         n_params, arity, builder = _BASE_GATES[base_name]
         if len(params) != n_params:
             raise ValueError(f"{name} takes {n_params} parameter(s), got {len(params)}")
@@ -509,7 +509,7 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     either mode and before anything is built.
     """
     if mode not in ("complete", "simplified"):
-        raise ValueError(f"mode must be 'complete' or 'simplified', got {mode!r}")
+        raise FormatError(f"mode must be 'complete' or 'simplified', got {mode!r}")
     n_qubits, gates = circuit.n_qubits, circuit.gates
     # Counted before anything is built, so a circuit over the cap allocates no
     # table and caches no layout.

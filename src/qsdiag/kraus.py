@@ -9,8 +9,17 @@ most significant position, and conversely the operators can be read off
 any such unitary by taking blocks against an environment state.
 
 Validation happens at the boundaries: `apply_channel` checks the channel's
-completeness once per call, iterates the operator sum on plain arrays and
+completeness once per call, iterates the channel on plain arrays and
 validates only the final state as a `DensityMatrix`.
+
+A channel is linear on the row-major vectorization vec(rho): its transfer
+matrix T = sum_i F_i (x) conj(F_i) gives vec(Phi(rho)) = T vec(rho).  Up
+to TRANSFER_MAX_QUBITS = 3 qubits (T at most 64x64, 64 KiB) each step is
+that one matrix-vector product, about 0.5-0.9 us at one qubit where the
+operator sum's 1 + 3K small numpy calls take 7-19 us.  T takes 16 * 16^n
+bytes, so larger channels keep the operator sum: at four qubits one
+product with the 1 MiB T takes about 15 us against 9 us for a
+one-operator sum, and at five about 400 us.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ COMPLETENESS_TOL = 1e-10
 UNITARY_TOL = 1e-10
 # Operators whose largest entry falls below this are dropped entirely.
 PRUNE_TOL = 1e-14
+# Channels on at most this many qubits step through their transfer matrix.
+TRANSFER_MAX_QUBITS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,24 +89,45 @@ def _check_trace_preserving(channel: KrausChannel, tol: float) -> float:
     return defect
 
 
-def _operator_sum(channel: KrausChannel, m: np.ndarray, steps: int = 1) -> np.ndarray:
-    """Iterate m -> sum_i F_i m F_i^dagger `steps` times on raw arrays (no checks)."""
-    pairs = [(op, op.conj().T) for op in channel.operators]
+def _transfer_matrix(channel: KrausChannel) -> np.ndarray:
+    """T = sum_i F_i (x) conj(F_i), so that vec(Phi(m)) = T @ vec(m) in row-major order."""
+    ops = np.array(channel.operators)
+    d2 = channel.dim * channel.dim
+    return np.einsum("kia,kjb->ijab", ops, ops.conj()).reshape(d2, d2)
+
+
+def _evolve(channel: KrausChannel, m: np.ndarray, steps: int) -> np.ndarray:
+    """Iterate m -> sum_i F_i m F_i^dagger `steps` times on raw arrays (no checks).
+
+    Each step is one product with the transfer matrix on at most
+    TRANSFER_MAX_QUBITS qubits, and one operator sum above that.
+    """
+    if channel.n_qubits > TRANSFER_MAX_QUBITS:
+        pairs = [(op, op.conj().T) for op in channel.operators]
+        for _ in range(steps):
+            out = np.zeros_like(m)
+            for op, adj in pairs:
+                out += op @ m @ adj
+            m = out
+        return m
+    # The bound method skips the `@` operator's dispatch, about half a step's cost.
+    step = _transfer_matrix(channel).dot
+    v = m.reshape(-1)
     for _ in range(steps):
-        out = np.zeros_like(m)
-        for op, adj in pairs:
-            out += op @ m @ adj
-        m = out
-    return m
+        v = step(v)
+    return v.reshape(m.shape)
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix,
                   tol: float = COMPLETENESS_TOL, steps: int = 1) -> DensityMatrix:
     """Evolve `rho` through the channel `steps` times: rho' = sum_i F_i rho F_i^dagger.
 
-    The channel is checked once and only the final state is validated, so
-    the result equals `steps` successive single applications bit for bit;
-    `steps=0` returns `rho` itself.
+    The channel is checked once and only the final state is validated.  Up
+    to TRANSFER_MAX_QUBITS qubits each step is one product with the
+    channel's transfer matrix (module docstring), beyond that one operator
+    sum; single and repeated applications share that path, so the result
+    equals `steps` successive single applications bit for bit.  `steps=0`
+    returns `rho` itself.
     """
     if channel.dim != rho.dim:
         raise FormatError(
@@ -106,7 +138,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
     defect = _check_trace_preserving(channel, tol)
     if steps == 0:
         return rho
-    return DensityMatrix(_operator_sum(channel, rho.matrix, steps),
+    return DensityMatrix(_evolve(channel, rho.matrix, steps),
                          atol=max(1e-10, 10 * defect))
 
 

@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the library's own code paths: the partial
 trace and the qubit relabelling work on reshaped axes, the dense immersion
-of a gate reads each entry off the bits of its row and column index, Bloch
-maps come from Pauli traces over raw Kraus sums, and unitaries are drawn
-via QR with a column phase fix.
+of a gate reads each entry off the bits of its row and column index,
+channel evolution repeats the raw Kraus sum one operator at a time, Bloch
+maps come from Pauli traces over that sum, and unitaries are drawn via QR
+with a column phase fix.
 """
 
 import numpy as np
@@ -73,11 +74,15 @@ def immerse_oracle(gate, targets, n_qubits: int) -> np.ndarray:
     return np.where(same_others, g[local[:, None], local[None, :]], 0)
 
 
-def kraus_apply_raw(operators, matrix) -> np.ndarray:
-    out = np.zeros_like(np.asarray(matrix, dtype=complex))
-    for f in operators:
-        out += f @ matrix @ f.conj().T
-    return out
+def kraus_apply_raw(operators, matrix, steps: int = 1) -> np.ndarray:
+    """`steps` rounds of the operator sum m -> sum_i F_i m F_i^dagger, term by term."""
+    m = np.asarray(matrix, dtype=complex)
+    for _ in range(steps):
+        out = np.zeros_like(m)
+        for f in operators:
+            out += f @ m @ f.conj().T
+        m = out
+    return m
 
 
 def affine_oracle(operators):

@@ -20,9 +20,17 @@ from qsdiag.bloch import (
     ellipsoid_samples,
     points_to_csv,
 )
+from qsdiag.channels import make_amp_damp, make_deformation, make_rotation
 from qsdiag.cli import MAX_STEPS, _build_parser, _parse_grid, main
 from qsdiag.core import DensityMatrix, FormatError, PureState, basis_state, validate_density
-from qsdiag.diagram import MAX_DIAGRAM_EDGES, Circuit, Gate, build_gate, parse_circuit
+from qsdiag.diagram import (
+    MAX_DIAGRAM_EDGES,
+    Circuit,
+    Gate,
+    build_diagram,
+    build_gate,
+    parse_circuit,
+)
 from qsdiag.kraus import KrausChannel, apply_channel, dilate_single_ancilla, kraus_from_unitary
 
 MIXED = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
@@ -164,6 +172,16 @@ def test_evolve_steps_at_cap_are_accepted(rho_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "evolve", rho_file, "phase_flip:1", "--steps", str(MAX_STEPS))
     assert (code, calls) == (0, [MAX_STEPS])
     assert np.array_equal(matrix_from_json(out), MIXED)
+
+
+@pytest.mark.parametrize("spec", ["amp_damp_y_minus:1.0",
+                                  "depolarizing_general:0:0.8,0.4,0.4,0.2"])
+def test_evolve_at_step_cap_stays_a_density_matrix(rho_file, spec, capsys):
+    code, out, _ = run(capsys, "evolve", rho_file, spec, "--steps", str(MAX_STEPS))
+    assert code == 0
+    m = matrix_from_json(out)
+    assert np.abs(m - m.conj().T).max() <= 1e-10
+    assert abs(m.trace() - 1.0) <= 1e-10
 
 
 def test_diagram_over_edge_cap_is_usage_error(tmp_path, capsys):
@@ -514,6 +532,15 @@ _MISFITS = {
     "Circuit-matrix-misfit": (
         lambda: Circuit(1, (Gate("x", (), (0,), (0,), np.eye(4)),), basis_state(1, 0)),
         "does not fit"),
+    "make_rotation-axis-w": (lambda: make_rotation("w", 0.5), "axis must be"),
+    "make_deformation-unknown-kind": (
+        lambda: make_deformation("spin_flip", 0.5), "unknown deformation kind"),
+    "make_amp_damp-no-pole": (lambda: make_amp_damp("w", "plus", 0.5), "no pole"),
+    "build_gate-qubit-outside": (lambda: build_gate("x", (), (2,), 2), "out of range"),
+    "build_gate-unknown-name": (lambda: build_gate("frob", (), (0,), 1), "unknown gate"),
+    "basis_state-index-outside": (lambda: basis_state(2, 4), "out of range"),
+    "build_diagram-unknown-mode": (
+        lambda: build_diagram(Circuit(1, (), basis_state(1, 0)), mode="partial"), "mode must be"),
 }
 
 

@@ -1,0 +1,55 @@
+"""Every import in `src/` and `tests/` is read somewhere in its own module.
+
+An AST scan stands in for a linter.  A name bound by `from m import x` or
+`import m as x` counts as read when the module loads the name anywhere; a
+dotted `import a.b` counts when some attribute chain starts with `a.b`.
+`__future__` imports bind nothing, and the `qsdiag/__init__.py` facade
+binds names only to re-export them, so neither is scanned.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FACADE = ROOT / "src" / "qsdiag" / "__init__.py"
+MODULES = sorted(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py")
+                 if path != FACADE)
+
+
+def _dotted(node):
+    """`a.b.c` for an attribute chain rooted at a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def unused_imports(source: str) -> list:
+    """(line, bound name) for every import the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            chain = _dotted(node)
+            if chain:
+                read.update(".".join(chain.split(".")[:i + 1])
+                            for i in range(chain.count(".") + 1))
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unread_import():
+    source = "import os\nimport a.b\nfrom c import d, e as f\nimport g.h\nprint(d, g.h.i)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "a.b"), (3, "f")]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ def test_steps_equal_successive_single_applications(kind, steps):
     for _ in range(steps):
         single = apply_channel(ch, single)
     assert np.array_equal(apply_channel(ch, rho, steps=steps).matrix, single.matrix)
+
+
+def test_four_qubit_channel_allocates_no_transfer_matrix():
+    """Above three qubits the channel keeps the operator sum: its 256 x 256
+    transfer matrix would take 1 MiB."""
+    gen = np.random.default_rng(51)
+    q = np.linalg.qr(gen.normal(size=(64, 16)) + 1j * gen.normal(size=(64, 16)))[0]
+    ch = KrausChannel(tuple(q[16 * i:16 * i + 16] for i in range(4)))
+    rho = random_density(gen, 4)
+    tracemalloc.start()
+    try:
+        apply_channel(ch, rho, steps=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_apply_rejects_negative_steps():

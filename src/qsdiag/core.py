@@ -6,7 +6,10 @@ Circuits are the exception: `qsdiag.diagram` applies each small gate to
 2^n state vectors and builds diagrams gate-locally, never forming the
 2^n x 2^n immersed unitary.  This module holds the two value types
 (`PureState`, `DensityMatrix`), the spectral / validation helpers, and
-the JSON wire form used by the CLI.
+the JSON wire form used by the CLI.  The wire form is decoded with orjson,
+a strict RFC 8259 parser (no NaN or Infinity literals, no number beyond a
+double's range), imported on the first decode only; it is encoded with the
+standard library's `json.dumps(sort_keys=True)`.
 
 It also states the register rule, once for the package: a register holds
 1..MAX_QUBITS qubits and its matrices are 2^n x 2^n.  `n_qubits_for_dim`
@@ -247,6 +250,17 @@ def spectral_decompose(rho: DensityMatrix, tol: float = SPECTRAL_TOL):
 # A complex matrix is carried as {"rows": R, "cols": C, "re": [...], "im": [...]}
 # with both coefficient lists in row-major order.
 
+# Deepest array/object nesting `matrix_from_json` decodes; a matrix document
+# nests 2 deep.  orjson builds its Python objects recursively, up to about
+# 250 bytes of C stack a level, and a valid document nested deeper than the
+# stack allows kills the process (about 130,000 arrays deep on an 8 MiB
+# stack); at this bound a decode needs at most about 1 MiB.
+MAX_JSON_DEPTH = 4096
+# A JSON string.  The closing quote is optional, so an unterminated string
+# (invalid JSON, which the parser refuses) runs to the end of the text and
+# the scan stays linear; requiring it costs quadratic time on "\"\"\"...
+_JSON_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+
 
 def matrix_to_json_dict(matrix) -> dict:
     m = as_complex_matrix(matrix)
@@ -296,13 +310,27 @@ def matrix_to_json(matrix) -> str:
     return json.dumps(matrix_to_json_dict(matrix), sort_keys=True)
 
 
+def _json_depth(text: str) -> int:
+    """Deepest nesting of arrays and objects in JSON text, brackets inside strings skipped."""
+    codes = np.frombuffer(_JSON_STRING_RE.sub("", text).encode("utf-8", "surrogatepass"),
+                          dtype=np.uint8)
+    opens = (codes == ord("[")) | (codes == ord("{"))
+    closes = (codes == ord("]")) | (codes == ord("}"))
+    return int(np.cumsum(opens.astype(np.int64) - closes).max(initial=0))
+
+
 def matrix_from_json(text: str) -> np.ndarray:
+    import orjson  # here, so processes that decode no matrix never load it
+
+    # A document nests no deeper than it has brackets, so only one with more
+    # than MAX_JSON_DEPTH of them needs the exact depth.
+    if (text.count("[") + text.count("{") > MAX_JSON_DEPTH
+            and _json_depth(text) > MAX_JSON_DEPTH):
+        raise FormatError(f"invalid JSON: nested deeper than {MAX_JSON_DEPTH} arrays/objects")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise FormatError("invalid JSON: nested too deeply") from None
     return matrix_from_json_dict(doc)
 
 

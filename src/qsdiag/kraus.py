@@ -122,7 +122,9 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
                   tol: float = COMPLETENESS_TOL, steps: int = 1) -> DensityMatrix:
     """Evolve `rho` through the channel `steps` times: rho' = sum_i F_i rho F_i^dagger.
 
-    The channel is checked once and only the final state is validated.  Up
+    The channel is checked once and only the final state is validated, with
+    a trace and hermiticity slack of 10 * steps * the completeness defect (at
+    least 1e-10), since each step may move the trace by up to the defect.  Up
     to TRANSFER_MAX_QUBITS qubits each step is one product with the
     channel's transfer matrix (module docstring), beyond that one operator
     sum; single and repeated applications share that path, so the result
@@ -139,7 +141,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
     if steps == 0:
         return rho
     return DensityMatrix(_evolve(channel, rho.matrix, steps),
-                         atol=max(1e-10, 10 * defect))
+                         atol=max(1e-10, 10 * steps * defect))
 
 
 def prune_operators(operators):

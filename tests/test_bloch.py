@@ -271,6 +271,17 @@ def test_csv_block_boundary(n_lat, n_lon):
     assert text.count("\n") == n_lat * n_lon + 1
 
 
+def test_csv_of_random_bit_patterns_matches_the_oracle():
+    # Every finite double class: normals of any exponent, subnormals, zeros of both signs.
+    gen = np.random.default_rng(31)
+    bits = gen.integers(0, 2 ** 64, size=3 * (CSV_BLOCK_ROWS + 5), dtype=np.uint64)
+    bits[:40] = [0, 1 << 63, 1, (1 << 63) | 1, (1 << 52) - 1] * 8
+    bits[40:4000] &= (1 << 52) - 1 | 1 << 63  # subnormals
+    pts = bits.view(np.float64)
+    pts = pts[np.isfinite(pts)][:3 * CSV_BLOCK_ROWS + 3].reshape(-1, 3)
+    assert_same_csv(points_to_csv(pts), csv_oracle(pts))
+
+
 def test_csv_of_no_points_is_the_header():
     assert points_to_csv(np.empty((0, 3))) == "x,y,z\n"
 

@@ -141,6 +141,17 @@ def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command, name, p
     assert one_usage_error(*run(capsys, command, str(path)))
 
 
+def test_deep_but_valid_json_is_usage_error_not_a_crash(tmp_path):
+    # A parser that recurses once a level would overflow the C stack here and
+    # kill the process, so this runs in a child.
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    proc = subprocess.run([sys.executable, "-m", "qsdiag.cli", "validate", str(path)],
+                          capture_output=True, text=True)
+    assert one_usage_error(proc.returncode, proc.stdout, proc.stderr)
+    assert "nested deeper than" in proc.stderr
+
+
 def test_evolve_channel_of_other_dimension_is_usage_error(tmp_path, capsys):
     two_qubits = tmp_path / "rho2.json"
     two_qubits.write_text(matrix_to_json(np.eye(4) / 4) + "\n")
@@ -182,6 +193,24 @@ def test_evolve_at_step_cap_stays_a_density_matrix(rho_file, spec, capsys):
     m = matrix_from_json(out)
     assert np.abs(m - m.conj().T).max() <= 1e-10
     assert abs(m.trace() - 1.0) <= 1e-10
+
+
+# Amplitudes inside the spec parser's 1e-12 normalization: completeness defect 1.8e-12.
+NEARLY_COMPLETE = "depolarizing_general:0:0.5,0.5,0.5,0.5000000000018"
+
+
+@pytest.mark.parametrize("steps", [1000, MAX_STEPS])
+def test_evolve_accepts_the_trace_drift_of_an_accepted_channel(rho_file, capsys, steps):
+    # The trace drifts by up to the defect a step: 1.8e-9 after 1,000 steps.
+    code, out, err = run(capsys, "evolve", rho_file, NEARLY_COMPLETE, "--steps", str(steps))
+    assert (code, err) == (0, "")
+    assert abs(matrix_from_json(out).trace() - 1.0) <= 10 * steps * 1.8e-12
+
+
+def test_evolve_refuses_a_channel_less_complete_than_tol(rho_file, capsys):
+    code, out, err = run(capsys, "evolve", rho_file, NEARLY_COMPLETE, "--tol", "1e-12")
+    assert (code, out) == (1, "")
+    assert "channel is not trace preserving (defect 1.800e-12 > 1.0e-12)" in err
 
 
 def test_diagram_over_edge_cap_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from qsdiag import (
     spectral_decompose,
     validate_density,
 )
-from qsdiag.core import matrix_from_json_dict, parse_complex
+from qsdiag.core import MAX_JSON_DEPTH, matrix_from_json_dict, parse_complex
 
 
 def test_pure_state_requires_normalization():
@@ -133,6 +135,11 @@ def test_spectral_decompose_phase_convention():
             assert lead.real > 0
 
 
+def small_matrix_with(extra: str) -> str:
+    """The 1x1 matrix [[1]] as JSON text with one more field, which the decoder ignores."""
+    return '{"rows": 1, "cols": 1, "re": [1], "im": [0], "x": ' + extra + "}"
+
+
 def test_matrix_json_round_trip():
     gen = np.random.default_rng(11)
     for shape in [(2, 2), (4, 4), (4, 1), (1, 3)]:
@@ -161,10 +168,42 @@ def test_matrix_json_field_names():
     '{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}',
     '{"rows": 1, "cols": 1, "re": [1], "im": [[0]]}',
     "[1, 2, 3]",
+    # RFC 8259 has no NaN or Infinity literal and no number beyond a double's range.
+    pytest.param('{"rows": 1, "cols": 1, "re": [Infinity], "im": [0]}', id="Infinity"),
+    pytest.param('{"rows": 1, "cols": 1, "re": [1], "im": [-Infinity]}', id="-Infinity"),
+    pytest.param('{"rows": 1, "cols": 1, "re": [1e400], "im": [0]}', id="1e400"),
+    pytest.param('\ufeff{"rows": 1, "cols": 1, "re": [1], "im": [0]}', id="utf8-bom"),
+    pytest.param('{"rows": 1, "cols": 1, "re": [1], "im": [0], "x": "\\ud800"}',
+                 id="escaped-lone-surrogate-in-extra-field"),
+    pytest.param(small_matrix_with("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH),
+                 id="nested-past-MAX_JSON_DEPTH"),
+    pytest.param(small_matrix_with('{"a": ' * MAX_JSON_DEPTH + "1" + "}" * MAX_JSON_DEPTH),
+                 id="objects-nested-past-MAX_JSON_DEPTH"),
 ])
 def test_matrix_json_rejects_malformed(text):
     with pytest.raises(FormatError):
         matrix_from_json(text)
+
+
+def test_matrix_json_depth_scan_is_linear_in_an_unterminated_string():
+    # Enough brackets to need the exact depth, inside a string that never closes.
+    text = small_matrix_with('"' + '\\"' * 50_000 + "[" * MAX_JSON_DEPTH)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="invalid JSON"):
+        matrix_from_json(text)
+    assert time.perf_counter() - start < 1.0  # a quadratic scan takes about 30 s
+
+
+@pytest.mark.parametrize("extra", [
+    # The standard library refused 2,000 levels ("nested too deeply").
+    pytest.param("[" * 2000 + "]" * 2000, id="2000-deep-array"),
+    pytest.param("[" * (MAX_JSON_DEPTH - 1) + "]" * (MAX_JSON_DEPTH - 1), id="at-MAX_JSON_DEPTH"),
+    # More brackets than MAX_JSON_DEPTH, but shallow: the exact depth decides.
+    pytest.param("[" + ", ".join(["[]"] * MAX_JSON_DEPTH) + "]", id="many-shallow-arrays"),
+    pytest.param('"' + "[{" * MAX_JSON_DEPTH + '\\"["', id="brackets-inside-a-string"),
+])
+def test_matrix_json_ignores_a_valid_extra_field(extra):
+    assert matrix_from_json(small_matrix_with(extra)).tolist() == [[1 + 0j]]
 
 
 @pytest.mark.parametrize("entry", ["1", True, [0.0], 10 ** 400],
@@ -177,19 +216,44 @@ def test_matrix_json_rejects_bad_last_entry_of_a_large_matrix(part, entry):
         matrix_from_json_dict(doc)
 
 
+def _halfway_decimals(gen, count):
+    """Exact decimal midpoints between adjacent finite doubles, and the decimals just off them."""
+    bits = gen.integers(0, 2 ** 64, size=2 * count, dtype=np.uint64).view(np.float64)
+    texts = []
+    with localcontext() as ctx:
+        ctx.prec = 1200  # exact: a double has at most 767 significant decimal digits
+        for x in bits[np.isfinite(bits)][:count].tolist():
+            low, high = sorted((x, float(np.nextafter(x, np.inf if x >= 0 else -np.inf))))
+            mid = (Decimal(low) + Decimal(high)) / 2
+            texts += [f"{mid:e}", f"{mid + Decimal('1e-400'):e}", f"{mid - Decimal('1e-400'):e}"]
+    return texts
+
+
 def test_matrix_json_decodes_like_float_per_entry():
     gen = np.random.default_rng(12)
     bits = gen.integers(0, 2 ** 64, size=2 * 4096, dtype=np.uint64).view(np.float64)
     values = [float(x) for x in bits[np.isfinite(bits)][:2 * 4000]]
     values[:6] = [-0.0, 0.0, 0, -7, 2 ** 53 + 1, -(10 ** 300)]
     values[6:200:3] = [int(k) for k in gen.integers(-2 ** 62, 2 ** 62, size=65)]
-    doc = json.loads(json.dumps({"rows": 80, "cols": 50,
-                                 "re": values[:4000], "im": values[4000:]}))
-    got = matrix_from_json_dict(doc)
+    # Integers around 2^63 and 2^64, where a 64-bit integer parser hands over
+    # to a float parser, with the midpoints h = 2^(e-53) between doubles there.
+    values[200:228] = [sign * (2 ** e + d) for sign in (1, -1) for e in (63, 64)
+                       for h in [2 ** (e - 53)] for d in (-1, 0, 1, h - 1, h, h + 1, 3 * h)]
+    tokens = [json.dumps(v) for v in values]
+    tokens[300:1500] = _halfway_decimals(gen, 400)
+    # Signed zeros, underflow, and the edges of the subnormal and finite ranges.
+    tokens[1500:1510] = ["-0", "-0e0", "-0.0e-5", "1e-400", "4.9e-324",
+                         "2.4703282292062327e-324", "2.4703282292062328e-324",
+                         "2.2250738585072011e-308", "1.7976931348623157e308",
+                         "1.7976931348623158e308"]
+    text = (f'{{"rows": 80, "cols": 50, "re": [{", ".join(tokens[:4000])}], '
+            f'"im": [{", ".join(tokens[4000:])}]}}')
+    doc = json.loads(text)
     want_re = np.asarray([float(x) for x in doc["re"]], dtype=float)
     want_im = np.asarray([float(x) for x in doc["im"]], dtype=float)
-    want = (want_re + 1j * want_im).reshape(80, 50)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = (want_re + 1j * want_im).reshape(80, 50).view(np.uint64).tolist()
+    assert matrix_from_json_dict(doc).view(np.uint64).tolist() == want
+    assert matrix_from_json(text).view(np.uint64).tolist() == want
 
 
 @pytest.mark.parametrize("text,value", [

@@ -1,8 +1,10 @@
 """The `qsdiag` package facade: one name table, layers loaded on first use."""
 
 import importlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +12,20 @@ import qsdiag
 import qsdiag.core
 
 LAYERS = ("bloch", "channels", "cli", "composite", "core", "diagram", "kraus", "purify")
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def modules_after(statement: str) -> list:
+    """The modules a fresh interpreter holds after running `statement`."""
+    probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def loaded_after(statement: str) -> list:
     """The qsdiag modules a fresh interpreter holds after running `statement`."""
-    probe = f"import sys; {statement}; print(*sorted(m for m in sys.modules if 'qsdiag' in m))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return [m for m in modules_after(statement) if "qsdiag" in m]
 
 
 def test_one_name_loads_only_its_layer():
@@ -26,6 +34,16 @@ def test_one_name_loads_only_its_layer():
 
 def test_cli_import_loads_every_layer():
     assert loaded_after("import qsdiag.cli") == ["qsdiag"] + [f"qsdiag.{m}" for m in LAYERS]
+
+
+@pytest.mark.parametrize("statement, loads_orjson", [
+    ("import qsdiag.cli", False),
+    (f"from qsdiag.cli import main; main(['diagram', {str(GOLDEN_DIR / 'cnot.qs')!r}, "
+     f"'--out', {os.devnull!r}])", False),
+    ("from qsdiag import matrix_from_json as f, matrix_to_json as g; f(g([[1]]))", True),
+], ids=["import-cli", "diagram", "matrix-decode"])
+def test_orjson_loads_with_the_first_matrix_decode_only(statement, loads_orjson):
+    assert ("orjson" in modules_after(statement)) == loads_orjson
 
 
 def test_every_public_name_is_its_home_modules_attribute():

@@ -1,4 +1,5 @@
-"""Every import in `src/` and `tests/` is read somewhere in its own module.
+"""Every import in `src/` and `tests/` is read somewhere in its own module,
+and the third-party modules `src/` imports are its declared dependencies.
 
 An AST scan stands in for a linter.  A name bound by `from m import x` or
 `import m as x` counts as read when the module loads the name anywhere; a
@@ -8,12 +9,15 @@ binds names only to re-export them, so neither is scanned.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FACADE = ROOT / "src" / "qsdiag" / "__init__.py"
+PYPROJECT = ROOT / "pyproject.toml"
 MODULES = sorted(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py")
                  if path != FACADE)
 
@@ -53,3 +57,29 @@ def test_module_reads_every_import(path):
 def test_scan_flags_an_unread_import():
     source = "import os\nimport a.b\nfrom c import d, e as f\nimport g.h\nprint(d, g.h.i)\n"
     assert unused_imports(source) == [(1, "os"), (2, "a.b"), (3, "f")]
+
+
+def imported_top_levels(source: str) -> set:
+    """Top-level names of every absolute import, function-local ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_src_imports_only_declared_third_party_modules():
+    tomllib = pytest.importorskip("tomllib")
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+                for spec in tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]}
+    imported = set().union(*(imported_top_levels(path.read_text(encoding="utf-8"))
+                             for path in (ROOT / "src").rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "qsdiag"}
+    assert third_party == declared
+
+
+def test_import_scan_sees_function_local_and_dotted_imports():
+    source = "import a.b\nfrom c.d import e\nfrom . import f\ndef g():\n    import h\n"
+    assert imported_top_levels(source) == {"a", "c", "h"}

@@ -17,9 +17,9 @@ _EXPORTS = {
         "decompose_map", "dm_from_bloch", "ellipsoid_samples", "points_to_csv",
     ),
     "channels": (
-        "CHANNEL_KINDS", "ChannelSpec", "channel_from_spec", "format_channel_spec",
-        "make_amp_damp", "make_deformation", "make_depolarizing_general",
-        "make_depolarizing_standard", "make_rotation", "parse_channel_spec",
+        "CHANNEL_KINDS", "ChannelSpec", "channel_from_spec", "make_amp_damp",
+        "make_deformation", "make_depolarizing_general", "make_depolarizing_standard",
+        "make_rotation", "parse_channel_spec",
     ),
     "composite": ("partial_trace", "tensor"),
     "core": (
@@ -38,8 +38,7 @@ _EXPORTS = {
         "validate_channel",
     ),
     "purify": (
-        "PurificationResult", "purification_angles", "purify_single_qubit",
-        "synthesize_purification_circuit",
+        "PurificationResult", "purify_single_qubit", "synthesize_purification_circuit",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

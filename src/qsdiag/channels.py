@@ -180,7 +180,6 @@ _KINDS = {
     "depolarizing_standard": (lambda spec: make_depolarizing_standard(spec.theta), True),
 }
 CHANNEL_KINDS = frozenset(_KINDS)
-ROTATION_KINDS = tuple(kind for kind in _KINDS if kind.startswith("rotation_"))
 
 
 def _check_bounded_theta(kind: str, theta: float):
@@ -232,16 +231,3 @@ def parse_channel_spec(text: str) -> ChannelSpec:
     except ValueError as exc:
         raise FormatError(f"invalid channel spec {text!r}: {exc}") from None
 
-
-def format_channel_spec(spec: ChannelSpec) -> str:
-    """Inverse of parse_channel_spec (decimal thetas, 17 significant digits)."""
-    base = f"{spec.kind}:{spec.theta:.17g}"
-    if spec.env_amplitudes is None:
-        return base
-    parts = []
-    for a in spec.env_amplitudes:
-        if a.imag == 0.0:
-            parts.append(f"{a.real:.17g}")
-        else:
-            parts.append(f"{a.real:.17g}{a.imag:+.17g}j")
-    return base + ":" + ",".join(parts)

@@ -14,12 +14,12 @@ edges, and the next state vector, follow from the gate's own non-null
 entries and two bit-scatter tables.  The dense 2^n x 2^n immersion is
 never built; it exists only as the tests' oracle.  A diagram keeps these
 arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
-(its `edges` property derives tuples) and each boundary's `LineActivity` a
-bool `active` array and the complex `amplitudes` array.  These are rows of
-two tables per diagram, (gates + 1) x 2^n, one complex and one bool:
-`build_diagram` allocates each once, and `_step`, which `simulate` shares,
-scatters each gate from one row into the next.  The renderers read the
-arrays directly and format each line's y and each boundary's x once.
+(its `edges` property derives tuples), and the diagram holds two tables,
+(gates + 1) x 2^n, with a row per boundary: the bool `active` and the
+complex `amplitudes`.  Row t is the boundary before gate t.
+`build_diagram` allocates each table once, and `_step`, which `simulate`
+shares, scatters each gate from one row into the next.  The renderers read
+the tables directly and format each line's y and each boundary's x once.
 
 A `Gate` is the one record of a gate: it holds its own read-only complex
 copy of the matrix and derives once its `label` and its non-null
@@ -243,19 +243,19 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
     params = tuple(float(p) for p in params)
     qubits = tuple(int(q) for q in qubits)
     if len(set(qubits)) != len(qubits):
-        raise ValueError(f"gate qubit arguments {qubits} must be distinct")
+        raise FormatError(f"gate qubit arguments {qubits} must be distinct")
     for q in qubits:
         if not 0 <= q < n_qubits:
             raise FormatError(f"qubit {q} out of range for {n_qubits} qubit register")
 
     if name == "matrix":
         if matrix is None:
-            raise ValueError("matrix gate needs an explicit matrix")
+            raise FormatError("matrix gate needs an explicit matrix")
         m = np.asarray(matrix, dtype=complex)
         if m.shape not in ((2, 2), (4, 4)):
-            raise ValueError("matrix literals must be 2x2 or 4x4")
+            raise FormatError("matrix literals must be 2x2 or 4x4")
         if params:
-            raise ValueError("matrix gate takes no parameters")
+            raise FormatError("matrix gate takes no parameters")
         arity = 1 if m.shape[0] == 2 else 2
         defect = unitarity_defect(m)
         if not defect <= 1e-10:  # also rejects NaN
@@ -271,7 +271,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             raise FormatError(f"unknown gate {name!r}")
         n_params, arity, builder = _BASE_GATES[base_name]
         if len(params) != n_params:
-            raise ValueError(f"{name} takes {n_params} parameter(s), got {len(params)}")
+            raise FormatError(f"{name} takes {n_params} parameter(s), got {len(params)}")
         full = builder(*params)
         if controlled:
             dim = full.shape[0]
@@ -280,7 +280,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             full = block
             arity += 1
     if len(qubits) != arity:
-        raise ValueError(f"{name} acts on {arity} qubit(s), got {len(qubits)} argument(s)")
+        raise FormatError(f"{name} acts on {arity} qubit(s), got {len(qubits)} argument(s)")
     targets, sorted_matrix = _reorder_to_sorted(full, qubits)
     return Gate(name, params, qubits, targets, sorted_matrix)
 
@@ -478,19 +478,14 @@ class DiagramLayer:
 
 
 @dataclass(frozen=True, eq=False)
-class LineActivity:
-    """Per-line activity (bool array) and carried amplitudes at one layer boundary."""
-
-    active: np.ndarray
-    amplitudes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class StateDiagram:
+    """Layers, and two (gates + 1) x 2^n tables whose row t is the boundary before gate t."""
+
     n_qubits: int
     mode: str
     layers: tuple
-    boundaries: tuple
+    active: np.ndarray
+    amplitudes: np.ndarray
 
     @property
     def n_lines(self) -> int:
@@ -504,7 +499,7 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     chain of edges connects it back to the input support, regardless of
     whether interference happens to cancel the amplitude on the way.  The
     carried amplitudes come from simulation, so exact cancellations show up
-    as active lines holding amplitude zero.  Raises ValueError, naming the
+    as active lines holding amplitude zero.  Raises FormatError, naming the
     gate at which the complete-mode edges pass `MAX_DIAGRAM_EDGES`, in
     either mode and before anything is built.
     """
@@ -517,13 +512,14 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     for index, gate in enumerate(gates):
         n_edges += _edge_count(gate, n_qubits)
         if n_edges > MAX_DIAGRAM_EDGES:
-            raise ValueError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges "
-                             f"at gate {index} ({gate.label})")
+            raise FormatError(f"circuit exceeds the cap of {MAX_DIAGRAM_EDGES} diagram edges "
+                              f"at gate {index} ({gate.label})")
     # One table per quantity, a row per boundary, each row taken as a view
     # once; gate t scatters from row t into row t + 1.
     shape = (len(gates) + 1, 1 << n_qubits)
-    amps = list(np.zeros(shape, dtype=complex))
-    actives = list(np.zeros(shape, dtype=bool))
+    amp_table = np.zeros(shape, dtype=complex)
+    active_table = np.zeros(shape, dtype=bool)
+    amps, actives = list(amp_table), list(active_table)
     amps[0][:] = circuit.input_state.amplitudes
     actives[0][:] = np.abs(amps[0]) > EDGE_TOL
     layers = []
@@ -534,8 +530,7 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
         if mode == "simplified":
             src, dst, amp = src[reached], dst[reached], amp[reached]
         layers.append(DiagramLayer(gate.label, src, dst, amp))
-    boundaries = tuple(map(LineActivity, actives, amps))
-    return StateDiagram(n_qubits, mode, tuple(layers), boundaries)
+    return StateDiagram(n_qubits, mode, tuple(layers), active_table, amp_table)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +553,8 @@ def _fmt_amp(z: complex) -> str:
 
 
 def _input_label(diagram: StateDiagram) -> str:
-    first = diagram.boundaries[0]
-    hot = np.flatnonzero(first.active)
-    if hot.size == 1 and abs(first.amplitudes[hot[0]] - 1.0) < 1e-9:
+    hot = np.flatnonzero(diagram.active[0])
+    if hot.size == 1 and abs(diagram.amplitudes[0, hot[0]] - 1.0) < 1e-9:
         return f"|{hot[0]:0{diagram.n_qubits}b}>"
     return "custom"
 
@@ -614,7 +608,7 @@ def _text_chart(diagram: StateDiagram) -> Iterator[str]:
     n_lines = diagram.n_lines
     n_layers = len(diagram.layers)
     dw = len(str(max(n_layers, 1)))
-    active = np.stack([b.active for b in diagram.boundaries], axis=1)
+    active = diagram.active.T
     blank = "[" + " " * dw + "]"
     pieces = _ascii("".join(seg + cell for t in range(n_layers)
                             for cell in (blank, f"[{t + 1:>{dw}}]")
@@ -653,7 +647,7 @@ def render_text_chunks(diagram: StateDiagram) -> Iterator[str]:
             chunk.extend(f"\n    {s} -> {d}  {_fmt_amp(a)}"
                          for s, d, a in itertools.islice(edges, len(layer.src)))
         yield "".join(chunk)
-    final = diagram.boundaries[-1].amplitudes
+    final = diagram.amplitudes[-1]
     yield "".join(["\n\noutput amplitudes:",
                    *(f"\n    {i}  {_fmt_amp(complex(final[i]))}"
                      for i in np.flatnonzero(np.abs(final) > EDGE_TOL).tolist()), "\n"])
@@ -722,8 +716,7 @@ def render_svg_chunks(diagram: StateDiagram) -> Iterator[str]:
     ])
     # Each piece after the first starts with the line break that separates it
     # from the one before: a list led by "" joins to "\n" + its elements.
-    active = np.stack([b.active for b in diagram.boundaries])
-    for t, on_row in enumerate(active.tolist()):
+    for t, on_row in enumerate(diagram.active.tolist()):
         x_start, x_end = xs[t], xw[t]
         yield "\n".join(["", *(f'<line x1="{x_start}" y1="{yi}" x2="{x_end}" y2="{yi}" '
                                f'{_STROKES[on]}/>' for yi, on in zip(ys, on_row))])
@@ -732,7 +725,7 @@ def render_svg_chunks(diagram: StateDiagram) -> Iterator[str]:
         y0, y1 = y[src], y[dst]
         label_y = y0 + 0.38 * (y1 - y0) - 4.0
         # Edges take their stroke from the activity of their source line.
-        stroke = active[owner, src]
+        stroke = diagram.active[owner, src]
         # Dormant lines whose edges were pruned still continue, thin.
         dormant = np.ones((len(run), n_lines), dtype=bool)
         dormant[owner - run.start, src] = False

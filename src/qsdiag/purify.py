@@ -38,6 +38,11 @@ class PurificationResult:
     theta1 drives the system qubit's rotation, theta2 the ancilla's
     controlled rotation, and phi is the phase carried by the |10>
     amplitude; all three live in [-pi, pi] with the thetas in [0, pi/2].
+    After the two rotations the state is
+    [cos(theta1), 0, cos(theta2) sin(theta1), sin(theta2) sin(theta1)],
+    and phi is the phase the |10> amplitude still needs.  When a rotation
+    is immaterial (e.g. rho = |0><0| leaves theta2 unconstrained) the
+    angle is reported as 0.
     """
 
     state: PureState
@@ -94,19 +99,6 @@ def _angles_from_coefficients(c00: complex, c10: complex, c11: complex) -> tuple
     if phi == 0.0:
         phi = 0.0  # normalize -0.0
     return theta1, theta2, phi
-
-
-def purification_angles(rho: DensityMatrix) -> tuple:
-    """Angles (theta1, theta2, phi) of the purification circuit.
-
-    After the two rotations the state is
-    [cos(theta1), 0, cos(theta2) sin(theta1), sin(theta2) sin(theta1)],
-    and phi is the phase the |10> amplitude still needs.  When a rotation
-    is immaterial (e.g. rho = |0><0| leaves theta2 unconstrained) the
-    angle is reported as 0.
-    """
-    res = purify_single_qubit(rho)
-    return res.theta1, res.theta2, res.phi
 
 
 def synthesize_purification_circuit(rho: DensityMatrix) -> Circuit:

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the library's own code paths: the partial
 trace and the qubit relabelling work on reshaped axes, the dense immersion
 of a gate reads each entry off the bits of its row and column index,
 channel evolution repeats the raw Kraus sum one operator at a time, Bloch
-maps come from Pauli traces over that sum, and unitaries are drawn via QR
-with a column phase fix.
+maps come from Pauli traces over that sum, unitaries are drawn via QR
+with a column phase fix, and channel specs are written out field by field
+for `parse_channel_spec` to read back.
 """
 
 import numpy as np
@@ -72,6 +73,15 @@ def immerse_oracle(gate, targets, n_qubits: int) -> np.ndarray:
     others = index & ~sum(1 << t for t in targets)
     same_others = others[:, None] == others[None, :]
     return np.where(same_others, g[local[:, None], local[None, :]], 0)
+
+
+def format_spec_oracle(spec) -> str:
+    """The spec string "kind:theta[:a,b,c,d]" of a ChannelSpec, 17 significant digits."""
+    fields = [spec.kind, f"{spec.theta:.17g}"]
+    if spec.env_amplitudes is not None:
+        fields.append(",".join(f"{a.real:.17g}{a.imag:+.17g}j" if a.imag else f"{a.real:.17g}"
+                               for a in spec.env_amplitudes))
+    return ":".join(fields)
 
 
 def kraus_apply_raw(operators, matrix, steps: int = 1) -> np.ndarray:

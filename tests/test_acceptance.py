@@ -242,7 +242,7 @@ def test_criterion_7_diagram_simulator_equivalence():
     for _ in range(100):
         circuit = parse_circuit(random_mixing_circuit(gen, 4, 8))
         diagram = build_diagram(circuit, mode="simplified")
-        final = {i for i, on in enumerate(diagram.boundaries[-1].active) if on}
+        final = {i for i, on in enumerate(diagram.active[-1]) if on}
         state = simulate(circuit)
         wanted = {i for i, a in enumerate(state.amplitudes) if abs(a) > 1e-12}
         if final != wanted:
@@ -252,8 +252,8 @@ def test_criterion_7_diagram_simulator_equivalence():
     diagram = build_diagram(synthesize_purification_circuit(rho),
                             mode="simplified")
     sets = [
-        {i for i, on in enumerate(b.active) if on}
-        for b in diagram.boundaries
+        {i for i, on in enumerate(row) if on}
+        for row in diagram.active
     ]
     growth_ok = (
         sets[0] == {0}

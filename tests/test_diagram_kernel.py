@@ -32,6 +32,7 @@ import qsdiag.diagram
 from helpers import immerse_oracle, random_pure, random_unitary
 from qsdiag import (
     Circuit,
+    FormatError,
     basis_state,
     build_diagram,
     build_gate,
@@ -42,7 +43,7 @@ from qsdiag import (
     render_text_chunks,
     simulate,
 )
-from qsdiag.diagram import EDGE_TOL, DiagramLayer, Gate, LineActivity, StateDiagram
+from qsdiag.diagram import EDGE_TOL, DiagramLayer, Gate, StateDiagram
 from test_diagram import diagram_oracle
 
 # name -> (parameters, qubits); every base gate also comes in its c-prefixed form.
@@ -88,7 +89,7 @@ def amp_oracle(z):
 
 
 def input_label_oracle(diagram):
-    amps = diagram.boundaries[0].amplitudes
+    amps = diagram.amplitudes[0]
     hot = np.flatnonzero(np.abs(amps) > EDGE_TOL)
     if hot.size == 1 and abs(amps[hot[0]] - 1.0) < 1e-9:
         return f"|{hot[0]:0{diagram.n_qubits}b}>"
@@ -105,7 +106,7 @@ def render_text_oracle(diagram):
         f"input: {input_label_oracle(diagram)}",
         "",
     ]
-    actives = [b.active.tolist() for b in diagram.boundaries]
+    actives = diagram.active.tolist()
     edges = [layer.edges for layer in diagram.layers]
     touched = [{line for edge in layer_edges for line in edge[:2]} for layer_edges in edges]
     cells = [f"[{t + 1:>{dw}}]" for t in range(n_layers)]
@@ -123,7 +124,7 @@ def render_text_oracle(diagram):
         out.extend(f"    {src} -> {dst}  {amp_oracle(amp)}" for src, dst, amp in edges[t])
     out.append("")
     out.append("output amplitudes:")
-    final = diagram.boundaries[-1].amplitudes
+    final = diagram.amplitudes[-1]
     for i in np.flatnonzero(np.abs(final) > EDGE_TOL).tolist():
         out.append(f"    {i}  {amp_oracle(complex(final[i]))}")
     out.append("")
@@ -157,9 +158,9 @@ def render_svg_oracle(diagram):
     ]
     parts.extend(f'<text x="12.0" y="{v + 4.0:.1f}" {TEXT_ATTRS_ORACLE}>'
                  f'{i} |{i:0{diagram.n_qubits}b}&gt;</text>' for i, v in enumerate(y.tolist()))
-    for t, boundary in enumerate(diagram.boundaries):
+    for t, row in enumerate(diagram.active.tolist()):
         parts.extend(f'<line x1="{xs[t]}" y1="{yi}" x2="{xw[t]}" y2="{yi}" {STROKES_ORACLE[on]}/>'
-                     for yi, on in zip(ys, boundary.active.tolist()))
+                     for yi, on in zip(ys, row))
     for t, layer in enumerate(diagram.layers):
         x0, x1 = xb[t] + 40.0, xb[t + 1]
         parts.append(f'<text x="{(x0 + x1) / 2.0:.1f}" y="38.0" '
@@ -167,7 +168,7 @@ def render_svg_oracle(diagram):
         ex0, ex1, lx = xw[t], xs[t + 1], f"{x0 + 0.38 * (x1 - x0):.1f}"
         y0, y1 = y[layer.src], y[layer.dst]
         label_y = (y0 + 0.38 * (y1 - y0) - 4.0).tolist()
-        strokes = diagram.boundaries[t].active[layer.src].tolist()
+        strokes = diagram.active[t][layer.src].tolist()
         for (s, d, a), ly, on in zip(layer.edges, label_y, strokes):
             parts.append(f'<line x1="{ex0}" y1="{ys[s]}" x2="{ex1}" y2="{ys[d]}" '
                          f'{STROKES_ORACLE[on]}/>')
@@ -210,18 +211,18 @@ def check_against_oracle(circuit, mode, reference=None):
     diag = build_diagram(circuit, mode=mode)
     layers, boundaries = diagram_oracle(reference or circuit, mode)
     assert [(layer.label, list(layer.edges)) for layer in diag.layers] == layers
-    assert [list(b.active) for b in diag.boundaries] == [a for a, _ in boundaries]
+    assert diag.active.tolist() == [a for a, _ in boundaries]
     dense = np.array([amps for _, amps in boundaries])
-    assert np.abs(np.array([b.amplitudes for b in diag.boundaries]) - dense).max() <= 1e-12
+    assert np.abs(diag.amplitudes - dense).max() <= 1e-12
     final = simulate(circuit).amplitudes
     assert np.abs(final - dense[-1]).max() <= 1e-12
-    assert all(diag.boundaries[-1].active[i] for i in np.flatnonzero(np.abs(final) > 1e-9))
+    assert all(diag.active[-1][i] for i in np.flatnonzero(np.abs(final) > 1e-9))
     oracle = StateDiagram(
         circuit.n_qubits, mode,
         tuple(DiagramLayer(label, *(np.array([edge[j] for edge in edges], dtype=dtype)
                                     for j, dtype in enumerate((int, int, complex))))
               for label, edges in layers),
-        tuple(LineActivity(np.array(active), np.array(amps)) for active, amps in boundaries),
+        np.array([active for active, _ in boundaries]), dense,
     )
     assert render_text(diag) == render_text_oracle(oracle)
     assert render_svg(diag) == render_svg_oracle(oracle)
@@ -429,13 +430,20 @@ def test_complete_mode_layers_share_read_only_layouts():
 
 def test_boundaries_are_rows_of_one_table_per_diagram():
     circuit = parse_circuit("qubits 3\ninput 5\nh 0\ncx 0 2\nrz(0.5) 1\n")
-    boundaries = build_diagram(circuit, mode="simplified").boundaries
-    for field_name, dtype in (("amplitudes", complex), ("active", bool)):
-        rows = [getattr(b, field_name) for b in boundaries]
-        table = rows[0].base
-        assert table.shape == (4, 8) and table.dtype == dtype
-        assert all(row.base is table for row in rows)
-        assert np.array_equal(np.stack(rows), table)
+    diag = build_diagram(circuit, mode="simplified")
+    for table, dtype in ((diag.amplitudes, complex), (diag.active, bool)):
+        assert table.shape == (len(circuit.gates) + 1, 8) and table.dtype == dtype
+    assert diag.active[0].tolist() == [i == 5 for i in range(8)]
+    assert diag.amplitudes[-1] == pytest.approx(simulate(circuit).amplitudes)
+
+
+def test_renderers_treat_the_diagram_as_read_only():
+    circuit = parse_circuit("qubits 3\ninput 5\nh 0\ncx 0 2\nrz(0.5) 1\nx 2\n")
+    for mode in ("complete", "simplified"):
+        diag = build_diagram(circuit, mode=mode)
+        text, svg = render_text(diag), render_svg(diag)
+        diag.active.flags.writeable = diag.amplitudes.flags.writeable = False
+        assert (render_text(diag), render_svg(diag)) == (text, svg)
 
 
 def test_gate_over_the_cap_caches_no_layout():
@@ -445,7 +453,7 @@ def test_gate_over_the_cap_caches_no_layout():
     gate = Gate("h10", (), tuple(range(10)), tuple(range(10)), matrix)
     circuit = Circuit(10, (gate,), basis_state(10, 0))
     before = qsdiag.diagram._edge_layout.cache_info()
-    with pytest.raises(ValueError, match=r"exceeds the cap .* at gate 0 "):
+    with pytest.raises(FormatError, match=r"exceeds the cap .* at gate 0 "):
         build_diagram(circuit)
     after = qsdiag.diagram._edge_layout.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)

@@ -1,5 +1,7 @@
 """Every import in `src/` and `tests/` is read somewhere in its own module,
-and the third-party modules `src/` imports are its declared dependencies.
+the third-party modules `src/` imports are its declared dependencies, and
+the test oracles in `tests/helpers.py` take only the state records from
+`qsdiag`.
 
 An AST scan stands in for a linter.  A name bound by `from m import x` or
 `import m as x` counts as read when the module loads the name anywhere; a
@@ -83,3 +85,15 @@ def test_src_imports_only_declared_third_party_modules():
 def test_import_scan_sees_function_local_and_dotted_imports():
     source = "import a.b\nfrom c.d import e\nfrom . import f\ndef g():\n    import h\n"
     assert imported_top_levels(source) == {"a", "c", "h"}
+
+
+def test_oracles_import_only_the_state_records_from_qsdiag():
+    """`tests/helpers.py` builds random states with `DensityMatrix` and `PureState` and
+    takes nothing else from `qsdiag`, so no oracle there can call the code it checks."""
+    taken = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            taken.update(alias.name for alias in node.names if alias.name.startswith("qsdiag"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qsdiag"):
+            taken.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert taken == {"qsdiag.DensityMatrix", "qsdiag.PureState"}

@@ -8,7 +8,6 @@ from qsdiag import (
     DensityMatrix,
     dm_from_pure,
     partial_trace,
-    purification_angles,
     purify_single_qubit,
     simulate,
     synthesize_purification_circuit,
@@ -83,7 +82,8 @@ def test_round_trip_near_pure_zero_state():
 
 
 def test_angles_for_maximally_mixed():
-    theta1, theta2, phi = purification_angles(DensityMatrix(np.eye(2) / 2))
+    res = purify_single_qubit(DensityMatrix(np.eye(2) / 2))
+    theta1, theta2, phi = res.theta1, res.theta2, res.phi
     # cos(theta1) = sqrt(1/2): the quarter turn, not the half turn
     assert theta1 == pytest.approx(math.pi / 4)
     assert theta2 == pytest.approx(math.pi / 2)
@@ -93,7 +93,8 @@ def test_angles_for_maximally_mixed():
 def test_angle_ranges():
     gen = np.random.default_rng(33)
     for _ in range(50):
-        theta1, theta2, phi = purification_angles(random_density(gen))
+        res = purify_single_qubit(random_density(gen))
+        theta1, theta2, phi = res.theta1, res.theta2, res.phi
         assert 0 <= theta1 <= math.pi / 2 + 1e-12
         assert 0 <= theta2 <= math.pi / 2 + 1e-12
         assert -math.pi <= phi <= math.pi

@@ -9,7 +9,15 @@ Circuits are the exception: `qsdiag.diagram` applies each small gate to
 the JSON wire form used by the CLI.  The wire form is decoded with orjson,
 a strict RFC 8259 parser (no NaN or Infinity literals, no number beyond a
 double's range), imported on the first decode only; it is encoded with the
-standard library's `json.dumps(sort_keys=True)`.
+standard library's `json.dumps(sort_keys=True)`.  Before orjson runs, a
+text longer than `MAX_JSON_DEPTH` characters has its `[` and `{` counted
+in 64 KiB blocks, and only one with more of them than the bound has its
+exact depth measured.  Each coefficient list then converts to doubles in
+one pass of the standard library's `array`, which refuses every JSON value
+but a boolean, so only entries that read exactly 0.0 or 1.0 need their
+type looked up.  A dict handed to `matrix_from_json_dict` may hold numpy
+scalars or `Decimal`, which `array` would accept, so there every entry's
+type is checked.
 
 It also states the register rule, once for the package: a register holds
 1..MAX_QUBITS qubits and its matrices are 2^n x 2^n.  `n_qubits_for_dim`
@@ -201,14 +209,15 @@ def validate_density(matrix, tol: float = SPECTRAL_TOL) -> DensityReport:
     # Finite entries near the float limit overflow the defects to inf, and
     # every check on the report rejects such a matrix, so the overflow is not
     # warned about.
+    m_dagger = m.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
-        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+        herm_defect = float(np.max(np.abs(m - m_dagger)))
         # Halving (exact) before summing keeps partial sums of a diagonal that
         # holds both signs finite, where they would reach inf - inf = NaN.
         trace_defect = float(abs(2.0 * (m.diagonal() / 2.0).sum() - 1.0))
         # Eigenvalues of the hermitized part; for a Hermitian input this is
         # exact.  Halving before adding keeps the sum finite.
-        min_eig = float(np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0)[0])
+        min_eig = float(np.linalg.eigvalsh(m / 2.0 + m_dagger / 2.0)[0])
     return DensityReport(herm_defect, trace_defect, min_eig, tol)
 
 
@@ -256,6 +265,9 @@ def spectral_decompose(rho: DensityMatrix, tol: float = SPECTRAL_TOL):
 # stack allows kills the process (about 130,000 arrays deep on an 8 MiB
 # stack); at this bound a decode needs at most about 1 MiB.
 MAX_JSON_DEPTH = 4096
+# Characters that the bracket count before a decode encodes at a time, so
+# its bytes and masks stay about 64 KiB whatever the document's length.
+_DEPTH_SCAN_BLOCK = 1 << 16
 # A JSON string.  The closing quote is optional, so an unterminated string
 # (invalid JSON, which the parser refuses) runs to the end of the text and
 # the scan stays linear; requiring it costs quadratic time on "\"\"\"...
@@ -274,7 +286,11 @@ def matrix_to_json_dict(matrix) -> dict:
     }
 
 
-def matrix_from_json_dict(doc) -> np.ndarray:
+_ENTRY_TYPES = "re/im entries must be JSON numbers, not strings, booleans or arrays"
+
+
+def _matrix_fields(doc) -> tuple:
+    """`rows`, `cols`, `re` and `im` of a matrix document, after every structural check."""
     if not isinstance(doc, dict):
         raise FormatError("matrix document must be a JSON object")
     missing = {"rows", "cols", "re", "im"} - set(doc)
@@ -294,15 +310,70 @@ def matrix_from_json_dict(doc) -> np.ndarray:
             f"re/im must each hold rows*cols = {rows * cols} entries, "
             f"got {len(re_part)} and {len(im_part)}"
         )
-    if not set(map(type, re_part)).union(map(type, im_part)) <= {int, float}:
-        raise FormatError("re/im entries must be JSON numbers, not strings, booleans or arrays")
-    try:
-        parts = np.array((re_part, im_part), dtype=float)
-    except OverflowError as exc:
-        raise FormatError(f"re/im entries must be numbers: {exc}") from None
+    return rows, cols, re_part, im_part
+
+
+def _floats(re_part: list, im_part: list) -> np.ndarray:
+    """Both lists as the two rows of one array of doubles, in one C pass,
+    each entry as `float(entry)` makes it.
+
+    Raises TypeError on a string, null, array or object and OverflowError on
+    an int beyond a double.  A boolean converts, to exactly 0.0 or 1.0.
+    """
+    import array  # here, so processes that decode no matrix never load it
+
+    values = array.array("d", re_part)
+    values.fromlist(im_part)
+    return np.frombuffer(values).reshape(2, -1)
+
+
+def _holds_boolean(part: list, values: np.ndarray) -> bool:
+    """Whether `part`, which converted to `values`, holds a boolean.
+
+    Only entries that read exactly 0.0 or 1.0 can be one.  Typing a whole
+    list costs about 10 ns an entry, typing one entry by its index about
+    three times that, and finding those entries a few microseconds, so only
+    in a list of more than 256 entries, at most a quarter of them 0.0 or
+    1.0, are just those typed.
+    """
+    if values.size > 256:
+        hits = np.flatnonzero((values == 0.0) | (values == 1.0))
+        if 4 * hits.size <= values.size:
+            return bool in set(map(type, map(part.__getitem__, hits.tolist())))
+    return bool in set(map(type, part))
+
+
+def _complex_matrix(rows: int, cols: int, parts: np.ndarray) -> np.ndarray:
+    """The rows x cols matrix re + 1j*im of parts = (re, im), bit for bit,
+    without its complex temporaries."""
     if not np.isfinite(parts).all():
         raise FormatError("matrix entries must be finite")
-    return (parts[0] + 1j * parts[1]).reshape(rows, cols)
+    re, im = parts
+    # numpy computes 1j*im as (0*im - 1*0) + (0*0 + 1*im)j, so the real part
+    # of re + 1j*im is re plus a zero of im's sign, and an imaginary -0.0
+    # becomes +0.0.
+    m = np.empty(rows * cols, dtype=complex)
+    real = m.real
+    np.multiply(im, 0.0, out=real)
+    np.add(real, re, out=real)
+    np.add(im, 0.0, out=m.imag)
+    return m.reshape(rows, cols)
+
+
+def matrix_from_json_dict(doc) -> np.ndarray:
+    """The complex matrix of a parsed matrix document.
+
+    A document built in code may hold numpy scalars or `Decimal`, which
+    convert to doubles, so every entry's type is checked to be int or float.
+    """
+    rows, cols, re_part, im_part = _matrix_fields(doc)
+    if not set(map(type, re_part)).union(map(type, im_part)) <= {int, float}:
+        raise FormatError(_ENTRY_TYPES)
+    try:
+        parts = _floats(re_part, im_part)
+    except OverflowError as exc:
+        raise FormatError(f"re/im entries must be numbers: {exc}") from None
+    return _complex_matrix(rows, cols, parts)
 
 
 def matrix_to_json(matrix) -> str:
@@ -319,19 +390,45 @@ def _json_depth(text: str) -> int:
     return int(np.cumsum(opens.astype(np.int64) - closes).max(initial=0))
 
 
+def _more_brackets_than_depth_bound(text: str) -> bool:
+    """Whether `text` holds more than MAX_JSON_DEPTH `[` and `{`, strings included."""
+    count = 0
+    for start in range(0, len(text), _DEPTH_SCAN_BLOCK):
+        block = text[start:start + _DEPTH_SCAN_BLOCK].encode("utf-8", "surrogatepass")
+        codes = np.frombuffer(block, dtype=np.uint8)
+        # "[" is 0x5B and "{" 0x7B: setting bit 0x20 makes no other byte "{",
+        # and every byte of a multi-byte character is above 0x7F.
+        count += int(np.count_nonzero((codes | 0x20) == ord("{")))
+        if count > MAX_JSON_DEPTH:
+            return True
+    return False
+
+
 def matrix_from_json(text: str) -> np.ndarray:
+    """The complex matrix of a matrix document's JSON text."""
     import orjson  # here, so processes that decode no matrix never load it
 
-    # A document nests no deeper than it has brackets, so only one with more
-    # than MAX_JSON_DEPTH of them needs the exact depth.
-    if (text.count("[") + text.count("{") > MAX_JSON_DEPTH
+    # A document nests no deeper than it has brackets, nor has more brackets
+    # than characters, so only one with more than MAX_JSON_DEPTH of them
+    # needs the exact depth.
+    if (len(text) > MAX_JSON_DEPTH and _more_brackets_than_depth_bound(text)
             and _json_depth(text) > MAX_JSON_DEPTH):
         raise FormatError(f"invalid JSON: nested deeper than {MAX_JSON_DEPTH} arrays/objects")
     try:
         doc = orjson.loads(text)
     except orjson.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
-    return matrix_from_json_dict(doc)
+    rows, cols, re_part, im_part = _matrix_fields(doc)
+    # orjson yields only int, float, bool, str, None, list and dict, and of
+    # these only a boolean converts without an error.
+    try:
+        parts = _floats(re_part, im_part)
+    except (TypeError, OverflowError):
+        # The exact check names the fault, a wrong type before an overflow.
+        return matrix_from_json_dict(doc)
+    if _holds_boolean(re_part, parts[0]) or _holds_boolean(im_part, parts[1]):
+        raise FormatError(_ENTRY_TYPES)
+    return _complex_matrix(rows, cols, parts)
 
 
 # ---------------------------------------------------------------------------

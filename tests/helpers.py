@@ -5,9 +5,12 @@ trace and the qubit relabelling work on reshaped axes, the dense immersion
 of a gate reads each entry off the bits of its row and column index,
 channel evolution repeats the raw Kraus sum one operator at a time, Bloch
 maps come from Pauli traces over that sum, unitaries are drawn via QR
-with a column phase fix, and channel specs are written out field by field
-for `parse_channel_spec` to read back.
+with a column phase fix, channel specs are written out field by field
+for `parse_channel_spec` to read back, and matrix JSON is decoded with the
+standard library's parser and a type check of every entry.
 """
+
+import json
 
 import numpy as np
 
@@ -107,3 +110,38 @@ def affine_oracle(operators):
         for i in range(3)
     ])
     return m, c
+
+
+def matrix_decode_oracle(text: str) -> np.ndarray:
+    """The complex matrix of matrix JSON text: `json.loads`, every entry's type,
+    `np.array` of both lists and `re + 1j*im`.
+
+    A refused document raises ValueError with the message the library's
+    FormatError carries.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("matrix document must be a JSON object")
+    missing = {"rows", "cols", "re", "im"} - set(doc)
+    if missing:
+        raise ValueError(f"matrix document is missing fields: {sorted(missing)}")
+    rows, cols = doc["rows"], doc["cols"]
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError("rows/cols must be integers")
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"rows/cols must be positive, got {rows}x{cols}")
+    re_part, im_part = doc["re"], doc["im"]
+    if type(re_part) is not list or type(im_part) is not list:
+        raise ValueError("re/im must be arrays of numbers")
+    if len(re_part) != rows * cols or len(im_part) != rows * cols:
+        raise ValueError(f"re/im must each hold rows*cols = {rows * cols} entries, "
+                         f"got {len(re_part)} and {len(im_part)}")
+    if not {type(x) for x in re_part + im_part} <= {int, float}:
+        raise ValueError("re/im entries must be JSON numbers, not strings, booleans or arrays")
+    try:
+        parts = np.array((re_part, im_part), dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"re/im entries must be numbers: {exc}") from None
+    if not np.isfinite(parts).all():
+        raise ValueError("matrix entries must be finite")
+    return (parts[0] + 1j * parts[1]).reshape(rows, cols)

@@ -1,12 +1,17 @@
+import itertools
 import json
 import math
+import operator
+import sys
 import time
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_density, random_pure
+from helpers import matrix_decode_oracle, random_density, random_pure
 from qsdiag import (
     DensityMatrix,
     FormatError,
@@ -19,6 +24,7 @@ from qsdiag import (
     spectral_decompose,
     validate_density,
 )
+from qsdiag import core
 from qsdiag.core import MAX_JSON_DEPTH, matrix_from_json_dict, parse_complex
 
 
@@ -154,35 +160,71 @@ def test_matrix_json_field_names():
     assert doc["re"] == [1.0, 0.0, 0.0, 1.0]
 
 
-@pytest.mark.parametrize("text", [
-    "not json",
-    '{"rows": 2, "cols": 2, "re": [1, 0, 0, 1]}',  # missing im
-    '{"rows": 2, "cols": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]}',
-    '{"rows": "2", "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
-    '{"rows": 2, "cols": 2, "re": [1, 0, 0, "x"], "im": [0, 0, 0, 0]}',
-    '{"rows": 2, "cols": 2, "re": [1, 0, 0, NaN], "im": [0, 0, 0, 0]}',
-    '{"rows": 2, "cols": 2, "re": [true, 0, 0, false], "im": [0, 0, 0, 0]}',
-    '{"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, false, 0, 0]}',
-    pytest.param('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}',
-                 id="int-beyond-float-range"),
-    '{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}',
-    '{"rows": 1, "cols": 1, "re": [1], "im": [[0]]}',
-    "[1, 2, 3]",
+ENTRY_TYPES = "re/im entries must be JSON numbers, not strings, booleans or arrays"
+TOO_DEEP = f"invalid JSON: nested deeper than {MAX_JSON_DEPTH} arrays/objects"
+
+
+def malformed(text, message, ident=None):
+    """A malformed matrix document and its message, the text after the CLI's `error: `."""
+    return pytest.param(text, message, id=ident or text)
+
+
+@pytest.mark.parametrize("text, message", [
+    malformed("not json", "invalid JSON: invalid literal: line 1 column 1 (char 0)"),
+    malformed('{"rows": 2, "cols": 2, "re": [1, 0, 0, 1]}',  # missing im
+              "matrix document is missing fields: ['im']"),
+    malformed('{"rows": 2, "cols": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]}',
+              "re/im must each hold rows*cols = 4 entries, got 3 and 4"),
+    malformed('{"rows": "2", "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
+              "rows/cols must be integers"),
+    malformed('{"rows": 2, "cols": 2, "re": [1, 0, 0, "x"], "im": [0, 0, 0, 0]}', ENTRY_TYPES),
+    malformed('{"rows": 2, "cols": 2, "re": [1, 0, 0, NaN], "im": [0, 0, 0, 0]}',
+              "invalid JSON: unexpected character: line 1 column 40 (char 39)"),
+    malformed('{"rows": 2, "cols": 2, "re": [true, 0, 0, false], "im": [0, 0, 0, 0]}', ENTRY_TYPES),
+    malformed('{"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, false, 0, 0]}', ENTRY_TYPES),
+    # One boolean in a long list of numbers that are mostly not 0.0 or 1.0.
+    malformed('{"rows": 16, "cols": 32, "re": [' + "0.5, 2, " * 255 + '0.5, true], "im": ['
+              + "0, " * 511 + "0]}", ENTRY_TYPES, "true-among-other-numbers"),
+    malformed('{"rows": 16, "cols": 32, "re": [' + "0, " * 511 + '0], "im": [0.5, false, '
+              + "3, " * 509 + "0.5]}", ENTRY_TYPES, "false-among-other-numbers"),
+    malformed('{"rows": 1, "cols": 1, "re": [1' + "0" * 400 + '], "im": [0]}',
+              "invalid JSON: number is infinity when parsed as double: line 1 column 31 (char 30)",
+              "int-beyond-float-range"),
+    malformed('{"rows": 1, "cols": 1, "re": ["1"], "im": [0]}', ENTRY_TYPES),
+    malformed('{"rows": 1, "cols": 1, "re": [1], "im": [[0]]}', ENTRY_TYPES),
+    malformed("[1, 2, 3]", "matrix document must be a JSON object"),
     # RFC 8259 has no NaN or Infinity literal and no number beyond a double's range.
-    pytest.param('{"rows": 1, "cols": 1, "re": [Infinity], "im": [0]}', id="Infinity"),
-    pytest.param('{"rows": 1, "cols": 1, "re": [1], "im": [-Infinity]}', id="-Infinity"),
-    pytest.param('{"rows": 1, "cols": 1, "re": [1e400], "im": [0]}', id="1e400"),
-    pytest.param('\ufeff{"rows": 1, "cols": 1, "re": [1], "im": [0]}', id="utf8-bom"),
-    pytest.param('{"rows": 1, "cols": 1, "re": [1], "im": [0], "x": "\\ud800"}',
-                 id="escaped-lone-surrogate-in-extra-field"),
-    pytest.param(small_matrix_with("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH),
-                 id="nested-past-MAX_JSON_DEPTH"),
-    pytest.param(small_matrix_with('{"a": ' * MAX_JSON_DEPTH + "1" + "}" * MAX_JSON_DEPTH),
-                 id="objects-nested-past-MAX_JSON_DEPTH"),
+    malformed('{"rows": 1, "cols": 1, "re": [Infinity], "im": [0]}',
+              "invalid JSON: unexpected character: line 1 column 31 (char 30)", "Infinity"),
+    malformed('{"rows": 1, "cols": 1, "re": [1], "im": [-Infinity]}',
+              "invalid JSON: no digit after minus sign: line 1 column 42 (char 41)", "-Infinity"),
+    malformed('{"rows": 1, "cols": 1, "re": [1e400], "im": [0]}',
+              "invalid JSON: number is infinity when parsed as double: line 1 column 31 (char 30)",
+              "1e400"),
+    malformed('\ufeff{"rows": 1, "cols": 1, "re": [1], "im": [0]}',
+              "invalid JSON: byte order mark (BOM) is not supported: line 1 column 1 (char 0)",
+              "utf8-bom"),
+    malformed('{"rows": 1, "cols": 1, "re": [1], "im": [0], "x": "\\ud800"}',
+              "invalid JSON: no matched low surrogate in string: line 1 column 58 (char 57)",
+              "escaped-lone-surrogate-in-extra-field"),
+    malformed(small_matrix_with("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH), TOO_DEEP,
+              "nested-past-MAX_JSON_DEPTH"),
+    malformed(small_matrix_with('{"a": ' * MAX_JSON_DEPTH + "1" + "}" * MAX_JSON_DEPTH), TOO_DEEP,
+              "objects-nested-past-MAX_JSON_DEPTH"),
+    # Texts of MAX_JSON_DEPTH and MAX_JSON_DEPTH + 1 characters, about where
+    # the depth guard starts to count.
+    malformed("[" * MAX_JSON_DEPTH, "invalid JSON: unexpected end of data: "
+              f"line 1 column {MAX_JSON_DEPTH + 1} (char {MAX_JSON_DEPTH})",
+              "MAX_JSON_DEPTH-chars"),
+    malformed(" " + "[" * MAX_JSON_DEPTH, "invalid JSON: unexpected end of data: "
+              f"line 1 column {MAX_JSON_DEPTH + 2} (char {MAX_JSON_DEPTH + 1})",
+              "MAX_JSON_DEPTH-brackets-in-one-more-char"),
+    malformed("[" * (MAX_JSON_DEPTH + 1), TOO_DEEP, "MAX_JSON_DEPTH+1-brackets"),
 ])
-def test_matrix_json_rejects_malformed(text):
-    with pytest.raises(FormatError):
+def test_matrix_json_rejects_malformed(text, message):
+    with pytest.raises(FormatError) as exc:
         matrix_from_json(text)
+    assert str(exc.value) == message
 
 
 def test_matrix_json_depth_scan_is_linear_in_an_unterminated_string():
@@ -214,6 +256,69 @@ def test_matrix_json_rejects_bad_last_entry_of_a_large_matrix(part, entry):
     doc[part][-1] = entry
     with pytest.raises(FormatError):
         matrix_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("re_part, im_part, message", [
+    pytest.param([10 ** 400], [0],
+                 "re/im entries must be numbers: int too large to convert to float",
+                 id="int-beyond-float-range"),
+    pytest.param([10 ** 400], ["1"], ENTRY_TYPES, id="int-beyond-float-range-in-re-string-in-im"),
+    pytest.param([10 ** 400, "1"], [0, 0], ENTRY_TYPES,
+                 id="string-after-an-int-beyond-float-range"),
+])
+def test_matrix_json_dict_names_a_wrong_type_before_an_overflow(re_part, im_part, message):
+    doc = {"rows": 1, "cols": len(re_part), "re": re_part, "im": im_part}
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json_dict(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", [np.float64(0.5), Decimal("0.5")],
+                         ids=["numpy-float64", "Decimal"])
+def test_matrix_json_dict_refuses_numbers_that_are_not_int_or_float(entry):
+    # Both convert to a double, but a JSON document holds neither.
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json_dict({"rows": 1, "cols": 2, "re": [0.5, entry], "im": [0, 0]})
+    assert str(exc.value) == ENTRY_TYPES
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_matrix_json_dict_refuses_non_finite_entries(entry):
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json_dict({"rows": 1, "cols": 2, "re": [0.5, 0.5], "im": [0, entry]})
+    assert str(exc.value) == "matrix entries must be finite"
+
+
+def matrix_with_run_at(index: int, run: str, fill: str) -> str:
+    """`small_matrix_with('["<fill>...", <run>]')`, `run` starting at character `index`."""
+    count = index - len(small_matrix_with('["", ')) + 1
+    text = small_matrix_with('["' + fill * count + '", ' + run + "]")
+    assert text[index:].startswith(run) and text[index - 1] == " "
+    return text
+
+
+# Characters of one to four UTF-8 bytes before the run.
+FILLS = [pytest.param("a", id="ascii"), pytest.param("\u00e9", id="2-byte"),
+         pytest.param("\u20ac", id="3-byte"), pytest.param("\U0001d11e", id="4-byte")]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("fill", FILLS + [pytest.param("\ud800", id="lone-surrogate")])
+def test_matrix_json_refuses_a_deep_run_at_a_depth_scan_block_edge(fill, offset):
+    deep = "[" * (MAX_JSON_DEPTH + 1) + "]" * (MAX_JSON_DEPTH + 1)
+    text = matrix_with_run_at(core._DEPTH_SCAN_BLOCK + offset, deep, fill)
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(text)
+    assert str(exc.value) == TOO_DEEP
+
+
+@pytest.mark.parametrize("fill", FILLS)
+def test_matrix_json_accepts_shallow_arrays_across_a_depth_scan_block_edge(fill):
+    # More brackets than MAX_JSON_DEPTH, so the exact depth decides; the
+    # first empty array opens before the edge and closes after it.
+    siblings = ", ".join(["[]"] * MAX_JSON_DEPTH)
+    text = matrix_with_run_at(core._DEPTH_SCAN_BLOCK - 1, siblings, fill)
+    assert matrix_from_json(text).tolist() == [[1 + 0j]]
 
 
 def _halfway_decimals(gen, count):
@@ -254,6 +359,78 @@ def test_matrix_json_decodes_like_float_per_entry():
     want = (want_re + 1j * want_im).reshape(80, 50).view(np.uint64).tolist()
     assert matrix_from_json_dict(doc).view(np.uint64).tolist() == want
     assert matrix_from_json(text).view(np.uint64).tolist() == want
+
+
+def test_matrix_json_keeps_the_signed_zeros_of_re_plus_1j_im():
+    # Each zero paired with each zero and with a number of either sign:
+    # re + 1j*im turns a real -0.0 whose partner has no minus sign, and
+    # every imaginary -0.0, into +0.0.
+    values = [-0.0, 0.0, -1.5, 1.5]
+    re_part, im_part = (list(pair) for pair in zip(*itertools.product(values, repeat=2)))
+    text = json.dumps({"rows": 4, "cols": 4, "re": re_part, "im": im_part})
+    want = matrix_decode_oracle(text).view(np.uint64).tolist()
+    assert matrix_from_json(text).view(np.uint64).tolist() == want
+    assert matrix_from_json_dict(json.loads(text)).view(np.uint64).tolist() == want
+
+
+# Entries of drawn matrix documents: numbers, with the 0.0 and 1.0 a boolean
+# converts to, integers about where doubles stop being exact and where
+# 64-bit integers end, and values the decoder refuses.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(operator.add, st.sampled_from([0, 1, 2 ** 53, -2 ** 53, 2 ** 63, -2 ** 63, 2 ** 64]),
+              st.integers(-2, 2)),
+)
+ZEROS_AND_ONES = st.sampled_from([0.0, -0.0, 1.0, 0, 1])
+FAULTS = st.one_of(
+    st.booleans(), st.none(), st.text("a1", max_size=2),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2),
+    st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(10 ** 309, 10 ** 309 + 9)),
+)
+
+
+@st.composite
+def matrix_documents(draw):
+    """A matrix document of numbers, mostly 0.0 and 1.0 in some, with up to two faults.
+
+    Past its first 12 entries a list repeats one number, which takes some
+    lists past the 256 entries up to which the decoder types every entry.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 5, 8, 100]))
+    size = rows * cols
+    entries = draw(st.sampled_from([NUMBERS, ZEROS_AND_ONES]))
+    head = min(size, 12)
+    parts = [draw(st.lists(entries, min_size=head, max_size=head)) + [draw(entries)] * (size - head)
+             for _ in "ri"]
+    for part, index, fault in draw(st.lists(st.tuples(st.sampled_from(parts), st.integers(
+            0, size - 1), FAULTS), max_size=2)):
+        part[index] = fault
+    return {"rows": rows, "cols": cols, "re": parts[0], "im": parts[1]}
+
+
+def decoded(decode, arg):
+    """The bits of the matrix that `decode` makes of `arg`, or its FormatError's message."""
+    try:
+        return decode(arg).view(np.uint64).tolist()
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(matrix_documents())
+def test_matrix_json_decodes_like_the_oracle(doc):
+    text = json.dumps(doc)
+    try:
+        want = matrix_decode_oracle(text).view(np.uint64).tolist()
+    except ValueError as exc:
+        want = str(exc)
+    assert decoded(matrix_from_json_dict, doc) == want
+    if any(type(x) is int and abs(x) > sys.float_info.max for x in doc["re"] + doc["im"]):
+        # Strict RFC 8259 parsing refuses a number beyond a double's range.
+        assert decoded(matrix_from_json, text).startswith(
+            "invalid JSON: number is infinity when parsed as double")
+    else:
+        assert decoded(matrix_from_json, text) == want
 
 
 @pytest.mark.parametrize("text,value", [

@@ -12,12 +12,13 @@ double's range), imported on the first decode only; it is encoded with the
 standard library's `json.dumps(sort_keys=True)`.  Before orjson runs, a
 text longer than `MAX_JSON_DEPTH` characters has its `[` and `{` counted
 in 64 KiB blocks, and only one with more of them than the bound has its
-exact depth measured.  Each coefficient list then converts to doubles in
-one pass of the standard library's `array`, which refuses every JSON value
-but a boolean, so only entries that read exactly 0.0 or 1.0 need their
-type looked up.  A dict handed to `matrix_from_json_dict` may hold numpy
-scalars or `Decimal`, which `array` would accept, so there every entry's
-type is checked.
+exact depth measured, in the same blocks.  Each coefficient list then
+converts to doubles in one pass of the standard library's `array`, which
+refuses every JSON value but a boolean, so only entries that read exactly
+0.0 or 1.0 need their type looked up, and none does in a text that holds no
+`true` or `false` literal.  A dict handed to `matrix_from_json_dict` may
+hold numpy scalars or `Decimal`, which `array` would accept, so there every
+entry's type is checked.
 
 It also states the register rule, once for the package: a register holds
 1..MAX_QUBITS qubits and its matrices are 2^n x 2^n.  `n_qubits_for_dim`
@@ -327,19 +328,24 @@ def _floats(re_part: list, im_part: list) -> np.ndarray:
     return np.frombuffer(values).reshape(2, -1)
 
 
-def _holds_boolean(part: list, values: np.ndarray) -> bool:
-    """Whether `part`, which converted to `values`, holds a boolean.
+def _holds_boolean(part: list, values: np.ndarray, text: str) -> bool:
+    """Whether `part`, which converted to `values` from JSON `text`, holds a boolean.
 
     Only entries that read exactly 0.0 or 1.0 can be one.  Typing a whole
     list costs about 10 ns an entry, typing one entry by its index about
     three times that, and finding those entries a few microseconds, so only
     in a list of more than 256 entries, at most a quarter of them 0.0 or
-    1.0, are just those typed.
+    1.0, are just those typed.  orjson makes a boolean only from a `true` or
+    `false` literal, so before a whole list is typed the text is searched
+    for them; a search for one character runs at memory speed, one for four
+    characters far slower, so "u" and "a" are looked for first.
     """
     if values.size > 256:
         hits = np.flatnonzero((values == 0.0) | (values == 1.0))
         if 4 * hits.size <= values.size:
             return bool in set(map(type, map(part.__getitem__, hits.tolist())))
+    if not (("u" in text and "true" in text) or ("a" in text and "false" in text)):
+        return False
     return bool in set(map(type, part))
 
 
@@ -382,12 +388,24 @@ def matrix_to_json(matrix) -> str:
 
 
 def _json_depth(text: str) -> int:
-    """Deepest nesting of arrays and objects in JSON text, brackets inside strings skipped."""
-    codes = np.frombuffer(_JSON_STRING_RE.sub("", text).encode("utf-8", "surrogatepass"),
-                          dtype=np.uint8)
-    opens = (codes == ord("[")) | (codes == ord("{"))
-    closes = (codes == ord("]")) | (codes == ord("}"))
-    return int(np.cumsum(opens.astype(np.int64) - closes).max(initial=0))
+    """Deepest nesting of arrays and objects in JSON text, brackets inside strings skipped.
+
+    Once the strings are removed, the depth is followed through blocks of
+    `_DEPTH_SCAN_BLOCK` characters, carried from block to block, so its
+    arrays stay about 64 KiB whatever the text's length.
+    """
+    text = _JSON_STRING_RE.sub("", text)
+    depth = deepest = 0
+    for start in range(0, len(text), _DEPTH_SCAN_BLOCK):
+        block = text[start:start + _DEPTH_SCAN_BLOCK].encode("utf-8", "surrogatepass")
+        # Setting bit 0x20 maps "[" onto "{" and "]" onto "}", and no other byte onto either.
+        codes = np.frombuffer(block, dtype=np.uint8) | 0x20
+        steps = (codes == ord("{")).astype(np.int64)
+        steps -= codes == ord("}")
+        path = np.cumsum(steps, out=steps)
+        deepest = max(deepest, depth + int(path.max()))
+        depth += int(path[-1])
+    return deepest
 
 
 def _more_brackets_than_depth_bound(text: str) -> bool:
@@ -426,7 +444,7 @@ def matrix_from_json(text: str) -> np.ndarray:
     except (TypeError, OverflowError):
         # The exact check names the fault, a wrong type before an overflow.
         return matrix_from_json_dict(doc)
-    if _holds_boolean(re_part, parts[0]) or _holds_boolean(im_part, parts[1]):
+    if _holds_boolean(re_part, parts[0], text) or _holds_boolean(im_part, parts[1], text):
         raise FormatError(_ENTRY_TYPES)
     return _complex_matrix(rows, cols, parts)
 

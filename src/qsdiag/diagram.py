@@ -17,9 +17,21 @@ arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
 (its `edges` property derives tuples), and the diagram holds two tables,
 (gates + 1) x 2^n, with a row per boundary: the bool `active` and the
 complex `amplitudes`.  Row t is the boundary before gate t.
-`build_diagram` allocates each table once, and `_step`, which `simulate`
-shares, scatters each gate from one row into the next.  The renderers read
+`build_diagram` allocates each table once and scatters each gate from one
+row into the next, as `simulate` does from one state vector into the next.
+Where no row of a gate's pattern holds two non-null entries, each line
+receives at most one edge, so `build_diagram` assigns the products instead
+of summing them with `np.add.at`; it adds +0.0 to the table once at the
+end, so every zero reads +0.0, as the sum leaves it.  The renderers read
 the tables directly and format each line's y and each boundary's x once.
+
+The four records, `Gate`, `Circuit`, `DiagramLayer` and `StateDiagram`,
+are built once per gate, per circuit and per position, so they are plain
+classes with `__slots__`, not frozen dataclasses: the frozen guard against
+rebinding an attribute would take about a quarter of a `Gate`'s
+construction, and generating the classes would cost every process that
+imports this module.  Their arrays, the state that is actually shared, are
+read-only; their attributes are not to be rebound.
 
 A `Gate` is the one record of a gate: it holds its own read-only complex
 copy of the matrix and derives once its `label` and its non-null
@@ -27,9 +39,13 @@ copy of the matrix and derives once its `label` and its non-null
 gate's edges run depends only on the register size, the targets and that
 pattern; the values only label them.  So `_edge_layout` caches, per key
 (n_qubits, targets, pattern), the read-only src/dst arrays and the gate
-entry each edge carries, and every gate only gathers its own values into
-that order.  Complete-mode layers hold the cached src/dst arrays
-themselves.  The cache holds `_LAYOUT_CACHE_SIZE` = MAX_DIAGRAM_EDGES >>
+entry each edge carries.  `build_diagram` and `simulate` look up each
+distinct Gate's layout once per call and gather its values into that order
+once, in a dict keyed by the Gate object, so every position of a gate
+shares one read-only (src, dst, amp); complete-mode layers hold these
+arrays themselves.  `build_gate` re-expresses a matrix over sorted targets
+only for gates on two or more qubits; on one qubit the listed order is the
+sorted order.  The cache holds `_LAYOUT_CACHE_SIZE` = MAX_DIAGRAM_EDGES >>
 MAX_QUBITS = 256 layouts: a unitary's pattern has a non-null entry in every
 column, so every gate at n = 10 has at least 2^10 edges, a circuit under
 the cap has at most 256 gates, and building it never evicts a layout it
@@ -86,7 +102,6 @@ import itertools
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,7 +181,6 @@ class CircuitParseError(FormatError):
         self.col = col
 
 
-@dataclass(frozen=True, eq=False)
 class Gate:
     """One gate instance: display form plus the matrix over sorted targets.
 
@@ -175,29 +189,27 @@ class Gate:
     `matrix` is expressed with bit j of its index addressing targets[j].
     The Gate holds its own read-only complex copy of `matrix`, and derives
     once its display `label` and its non-null `pattern`: one byte, 0 or 1,
-    per entry in row-major order, 1 where |entry| > EDGE_TOL.
+    per entry in row-major order, 1 where |entry| > EDGE_TOL.  One Gate may
+    stand at many positions of many circuits: do not rebind its attributes.
     """
 
-    name: str
-    params: tuple
-    qubit_args: tuple
-    targets: tuple
-    matrix: np.ndarray
-    label: str = field(init=False, repr=False)
-    pattern: bytes = field(init=False, repr=False)
+    __slots__ = ("name", "params", "qubit_args", "targets", "matrix", "label", "pattern")
 
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        matrix.flags.writeable = False  # one Gate may stand at many positions
-        head = self.name
-        if self.params:
-            head += "(" + ",".join(f"{p:.6g}" for p in self.params) + ")"
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "label", head + " " + " ".join(str(q) for q in self.qubit_args))
-        object.__setattr__(self, "pattern", (np.abs(matrix) > EDGE_TOL).tobytes())
+    def __init__(self, name: str, params: tuple, qubit_args: tuple, targets: tuple, matrix):
+        matrix = np.array(matrix, dtype=complex)
+        matrix.flags.writeable = False
+        head = name
+        if params:
+            head += "(" + ",".join(f"{p:.6g}" for p in params) + ")"
+        self.name = name
+        self.params = params
+        self.qubit_args = qubit_args
+        self.targets = targets
+        self.matrix = matrix
+        self.label = head + " " + " ".join(str(q) for q in qubit_args)
+        self.pattern = (np.abs(matrix) > EDGE_TOL).tobytes()
 
 
-@dataclass(frozen=True)
 class Circuit:
     """A register size, its gates in order and the input state.
 
@@ -205,24 +217,25 @@ class Circuit:
     inside the register, and its matrix must fit them.
     """
 
-    n_qubits: int
-    gates: tuple
-    input_state: PureState
+    __slots__ = ("n_qubits", "gates", "input_state")
 
-    def __post_init__(self):
-        _check_n_qubits(self.n_qubits)
-        if self.input_state.n_qubits != self.n_qubits:
+    def __init__(self, n_qubits: int, gates: tuple, input_state: PureState):
+        _check_n_qubits(n_qubits)
+        if input_state.n_qubits != n_qubits:
             raise FormatError("input state size does not match the register")
-        for g in dict.fromkeys(self.gates):  # each distinct Gate once
+        for g in dict.fromkeys(gates):  # each distinct Gate once
             if g.targets != tuple(sorted(set(g.qubit_args))):
                 raise FormatError(
                     f"gate {g.label!r} targets {g.targets} are not its qubit arguments "
                     f"sorted and distinct")
-            if not all(0 <= q < self.n_qubits for q in g.targets):
+            if not all(0 <= q < n_qubits for q in g.targets):
                 raise FormatError(f"gate {g.label!r} targets a qubit outside the register")
             if g.matrix.shape != (1 << len(g.targets),) * 2:
                 raise FormatError(
                     f"gate {g.label!r} matrix does not fit its {len(g.targets)} target(s)")
+        self.n_qubits = n_qubits
+        self.gates = gates
+        self.input_state = input_state
 
 
 def _reorder_to_sorted(matrix: np.ndarray, listed: tuple) -> tuple:
@@ -281,6 +294,8 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             arity += 1
     if len(qubits) != arity:
         raise FormatError(f"{name} acts on {arity} qubit(s), got {len(qubits)} argument(s)")
+    if len(qubits) == 1:  # one target: sorted order is the listed order
+        return Gate(name, params, qubits, qubits, full)
     targets, sorted_matrix = _reorder_to_sorted(full, qubits)
     return Gate(name, params, qubits, targets, sorted_matrix)
 
@@ -436,40 +451,54 @@ def _edge_layout(n_qubits: int, targets: tuple, pattern: bytes) -> tuple:
 
 
 def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
-    """Edges of the gate's immersed unitary as (src, dst, amp) arrays, sorted by (src, dst)."""
-    src, dst, entry = _edge_layout(n_qubits, gate.targets, gate.pattern)
-    return src, dst, gate.matrix.ravel()[entry]
+    """Edges of the gate's immersed unitary as read-only (src, dst, amp) arrays, sorted by
+    (src, dst).
 
-
-def _step(psi: np.ndarray, out: np.ndarray, gate: Gate, n_qubits: int) -> tuple:
-    """Scatter one gate from state `psi` into the zeroed `out`; return its (src, dst, amp).
-
-    Each edge (src, dst, amp) of the gate's immersed unitary adds
-    amp * psi[src] onto out[dst].
+    `build_diagram` and `simulate` ask once per distinct Gate and share the
+    arrays among the gate's positions.
     """
-    src, dst, amp = _gate_edges(gate, n_qubits)
-    np.add.at(out, dst, amp * psi[src])
+    src, dst, entry = _edge_layout(n_qubits, gate.targets, gate.pattern)
+    amp = gate.matrix.ravel()[entry]
+    amp.flags.writeable = False
     return src, dst, amp
 
 
+def _one_edge_per_line(gate: Gate) -> bool:
+    """Whether each line receives at most one of the gate's edges: no row of its
+    pattern holds two non-null entries, so the gate scatters with a plain
+    assignment instead of a sum."""
+    dim = 1 << len(gate.targets)
+    pattern = gate.pattern
+    return all(pattern.count(1, row, row + dim) <= 1 for row in range(0, dim * dim, dim))
+
+
 def simulate(circuit: Circuit) -> PureState:
-    """Final state of the circuit applied to its input."""
+    """Final state of the circuit applied to its input.
+
+    Each edge (src, dst, amp) of a gate's immersed unitary adds
+    amp * psi[src] onto the next state's dst entry.
+    """
+    n_qubits, gates = circuit.n_qubits, circuit.gates
+    edges = {gate: _gate_edges(gate, n_qubits) for gate in dict.fromkeys(gates)}
     psi = circuit.input_state.amplitudes.copy()
-    for gate in circuit.gates:
+    for gate in gates:
+        src, dst, amp = edges[gate]
         psi, prev = np.zeros(psi.shape, dtype=complex), psi
-        _step(prev, psi, gate, circuit.n_qubits)
+        np.add.at(psi, dst, amp * prev[src])
     return PureState(psi, atol=1e-9)
 
 
-@dataclass(frozen=True, eq=False)
 class DiagramLayer:
     """One gate's edges, sorted by (src, dst): edge e runs from line src[e] to dst[e]
     and carries amplitude amp[e]."""
 
-    label: str
-    src: np.ndarray
-    dst: np.ndarray
-    amp: np.ndarray
+    __slots__ = ("label", "src", "dst", "amp")
+
+    def __init__(self, label: str, src: np.ndarray, dst: np.ndarray, amp: np.ndarray):
+        self.label = label
+        self.src = src
+        self.dst = dst
+        self.amp = amp
 
     @property
     def edges(self) -> tuple:
@@ -477,15 +506,18 @@ class DiagramLayer:
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.amp.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
 class StateDiagram:
     """Layers, and two (gates + 1) x 2^n tables whose row t is the boundary before gate t."""
 
-    n_qubits: int
-    mode: str
-    layers: tuple
-    active: np.ndarray
-    amplitudes: np.ndarray
+    __slots__ = ("n_qubits", "mode", "layers", "active", "amplitudes")
+
+    def __init__(self, n_qubits: int, mode: str, layers: tuple, active: np.ndarray,
+                 amplitudes: np.ndarray):
+        self.n_qubits = n_qubits
+        self.mode = mode
+        self.layers = layers
+        self.active = active
+        self.amplitudes = amplitudes
 
     @property
     def n_lines(self) -> int:
@@ -522,14 +554,23 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     amps, actives = list(amp_table), list(active_table)
     amps[0][:] = circuit.input_state.amplitudes
     actives[0][:] = np.abs(amps[0]) > EDGE_TOL
+    edges = {gate: (*_gate_edges(gate, n_qubits), _one_edge_per_line(gate))
+             for gate in dict.fromkeys(gates)}
     layers = []
     for t, gate in enumerate(gates):
-        src, dst, amp = _step(amps[t], amps[t + 1], gate, n_qubits)
-        reached = actives[t][src]
+        src, dst, amp, one_per_line = edges[gate]
+        if one_per_line:
+            amps[t + 1][dst] = amp * amps[t][src]
+        else:
+            np.add.at(amps[t + 1], dst, amp * amps[t][src])
+        reached = actives[t][src].nonzero()[0]
         actives[t + 1][dst[reached]] = True
         if mode == "simplified":
             src, dst, amp = src[reached], dst[reached], amp[reached]
         layers.append(DiagramLayer(gate.label, src, dst, amp))
+    # An assigned product of zeros may be -0.0 where a sum onto the zeroed
+    # row leaves +0.0; adding +0.0 turns it into that and changes nothing else.
+    amp_table[1:] += 0.0
     return StateDiagram(n_qubits, mode, tuple(layers), active_table, amp_table)
 
 

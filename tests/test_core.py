@@ -4,6 +4,7 @@ import math
 import operator
 import sys
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -319,6 +320,49 @@ def test_matrix_json_accepts_shallow_arrays_across_a_depth_scan_block_edge(fill)
     siblings = ", ".join(["[]"] * MAX_JSON_DEPTH)
     text = matrix_with_run_at(core._DEPTH_SCAN_BLOCK - 1, siblings, fill)
     assert matrix_from_json(text).tolist() == [[1 + 0j]]
+
+
+def test_json_depth_memory_is_bounded_by_its_blocks():
+    # 750,000 empty arrays in an ignored field, 3.0 MB: enough brackets that
+    # the exact depth is measured.  Masks and a running sum over the whole
+    # text would take about 19 bytes a character.
+    text = small_matrix_with("[" + ", ".join(["[]"] * 750_000) + "]")
+    tracemalloc.start()
+    try:
+        depth = core._json_depth(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert depth == 3
+    assert peak <= 3 * len(text)
+
+
+def zeros_and_ones(extra: str, last_im: str = "0.0") -> str:
+    """The 32 x 32 matrix |0><0| as JSON text, every entry 0.0 or 1.0, with one more
+    field, which the decoder ignores, and `last_im` as the last entry of `im`."""
+    re_part = ", ".join(["1.0"] + ["0.0"] * 1023)
+    im_part = ", ".join(["0.0"] * 1023 + [last_im])
+    return f'{{"x": {extra}, "rows": 32, "cols": 32, "re": [{re_part}], "im": [{im_part}]}}'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(matrix_to_json(np.diag([1.0] + [0.0] * 255)), id="ket0-bra0-n8"),
+    pytest.param(zeros_and_ones('"1.0"'), id="no-literal"),
+    pytest.param(zeros_and_ones('["true", "no false here"]'), id="literals-inside-strings"),
+])
+def test_matrix_json_decodes_zeros_and_ones_documents(text):
+    # Every entry reads 0.0 or 1.0, so each list would be typed whole.
+    want = matrix_decode_oracle(text).view(np.uint64).tolist()
+    assert matrix_from_json(text).view(np.uint64).tolist() == want
+
+
+@pytest.mark.parametrize("extra", ['"1.0"', '["true", "no false here"]'],
+                         ids=["no-literal", "literals-inside-strings"])
+@pytest.mark.parametrize("entry", ["true", "false"])
+def test_matrix_json_refuses_a_boolean_among_zeros_and_ones(entry, extra):
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(zeros_and_ones(extra, last_im=entry))
+    assert str(exc.value) == ENTRY_TYPES
 
 
 def _halfway_decimals(gen, count):

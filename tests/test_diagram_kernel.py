@@ -10,12 +10,15 @@ its amplitudes to 1e-12, and renders byte-identical to the per-layer
 reference renderers below, and their final active lines must cover the
 simulated support.  Circuits parsed from a small pool of repeated
 statements must match the oracle of the same circuit built gate by gate,
-while building each distinct statement once.  A guard test keeps the peak
-memory of an n = 10 build and simulation below one dense immersion, and
-another keeps the streamed renders' peak memory below their output's
-length.  Renders with 3- and 4-digit line labels (n = 8, 10) must equal
-the reference renderers, and a 10-qubit circuit at the edge cap must keep
-all its layouts cached.
+while building each distinct statement once, and a diagram or a simulation
+looks up each distinct gate's edge layout once.  Every amplitude row must
+hold the bits of summing its gate's edges onto a zeroed row, also where a
+gate's products are assigned.  A guard test keeps the peak memory of an
+n = 10 build and simulation below one dense immersion, and another keeps
+the streamed renders' peak memory below their output's length.  Renders
+with 3- and 4-digit line labels (n = 8, 10) must equal the reference
+renderers, and a 10-qubit circuit at the edge cap must keep all its
+layouts cached.
 """
 
 import functools
@@ -36,6 +39,7 @@ from qsdiag import (
     basis_state,
     build_diagram,
     build_gate,
+    core,
     parse_circuit,
     render_svg,
     render_svg_chunks,
@@ -326,18 +330,29 @@ def test_gate_matrices_are_read_only():
         (0, 1, 1), (1, 0, 1))
 
 
-def test_one_layout_lookup_per_gate_position():
+def test_one_target_gate_holds_its_own_copy_of_a_shared_constant():
+    """A one-target gate needs no reorder, so only the Gate itself copies the shared
+    constant its builder returns: the copy must be its own, complex and read-only."""
+    gate = build_gate("x", (), (1,), 3)
+    assert gate.targets == (1,) and gate.matrix.dtype == complex
+    assert not gate.matrix.flags.writeable
+    assert np.array_equal(gate.matrix, core.SIGMA_X)
+    assert not np.shares_memory(gate.matrix, core.SIGMA_X)
+    assert np.array_equal(core.SIGMA_X, [[0, 1], [1, 0]])
+
+
+def test_one_layout_lookup_per_distinct_gate():
     def lookups():
         info = qsdiag.diagram._edge_layout.cache_info()
         return info.hits + info.misses
 
     before = lookups()
     circuit = parse_circuit("qubits 3\n" + "h 0\ncx 0 2\nrz(0.5) 1\n" * 20)
-    assert lookups() == before
+    assert len(circuit.gates) == 60 and lookups() == before
     build_diagram(circuit, mode="simplified")
-    assert lookups() == before + len(circuit.gates)
+    assert lookups() == before + 3
     simulate(circuit)
-    assert lookups() == before + 2 * len(circuit.gates)
+    assert lookups() == before + 6
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -435,6 +450,22 @@ def test_boundaries_are_rows_of_one_table_per_diagram():
         assert table.shape == (len(circuit.gates) + 1, 8) and table.dtype == dtype
     assert diag.active[0].tolist() == [i == 5 for i in range(8)]
     assert diag.amplitudes[-1] == pytest.approx(simulate(circuit).amplitudes)
+
+
+def test_amplitude_rows_hold_the_bits_of_sums_onto_zeroed_rows():
+    """A gate that sends one edge into each line has its products assigned, not
+    summed, and a product of zeros can be -0.0: every row must still hold the
+    bits that summing each gate's edges onto a zeroed row gives."""
+    circuit = parse_circuit("qubits 2\ninput [0.6, 0, 0, -0.8j]\n"
+                            "z 0\ny 1\ncz 0 1\nrz(2.5) 0\nh 1\nx 0\n")
+    for mode in ("complete", "simplified"):
+        table = build_diagram(circuit, mode=mode).amplitudes
+        psi = table[0]
+        for t, gate in enumerate(circuit.gates):
+            src, dst, amp = qsdiag.diagram._gate_edges(gate, 2)
+            psi, prev = np.zeros(4, dtype=complex), psi
+            np.add.at(psi, dst, amp * prev[src])
+            assert table[t + 1].tobytes() == psi.tobytes(), (mode, gate.label)
 
 
 def test_renderers_treat_the_diagram_as_read_only():

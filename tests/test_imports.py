@@ -97,3 +97,10 @@ def test_oracles_import_only_the_state_records_from_qsdiag():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qsdiag"):
             taken.update(f"{node.module}.{alias.name}" for alias in node.names)
     assert taken == {"qsdiag.DensityMatrix", "qsdiag.PureState"}
+
+
+def test_diagram_module_imports_nothing_from_dataclasses():
+    """`qsdiag.diagram`'s records are slotted classes: each dataclass would be generated
+    again, with its methods compiled, in every process that imports the module."""
+    source = (ROOT / "src" / "qsdiag" / "diagram.py").read_text(encoding="utf-8")
+    assert "dataclasses" not in imported_top_levels(source)

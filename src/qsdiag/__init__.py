@@ -33,9 +33,8 @@ _EXPORTS = {
         "render_text_chunks", "simulate",
     ),
     "kraus": (
-        "KrausChannel", "apply_channel", "channel_from_json_dict", "channel_to_json_dict",
-        "channel_with_ancilla", "dilate_single_ancilla", "kraus_from_unitary",
-        "validate_channel",
+        "KrausChannel", "apply_channel", "channel_from_json_dict", "channel_with_ancilla",
+        "dilate_single_ancilla", "kraus_from_unitary", "validate_channel",
     ),
     "purify": (
         "PurificationResult", "purify_single_qubit", "synthesize_purification_circuit",

@@ -17,13 +17,15 @@ arrays as computed: each `DiagramLayer` holds `src`/`dst`/`amp` edge arrays
 (its `edges` property derives tuples), and the diagram holds two tables,
 (gates + 1) x 2^n, with a row per boundary: the bool `active` and the
 complex `amplitudes`.  Row t is the boundary before gate t.
-`build_diagram` allocates each table once and scatters each gate from one
-row into the next, as `simulate` does from one state vector into the next.
-Where no row of a gate's pattern holds two non-null entries, each line
-receives at most one edge, so `build_diagram` assigns the products instead
-of summing them with `np.add.at`; it adds +0.0 to the table once at the
-end, so every zero reads +0.0, as the sum leaves it.  The renderers read
-the tables directly and format each line's y and each boundary's x once.
+A gate's edges are also the paths its amplitudes take, so drawing and
+simulating are one propagation: `_step` moves a state across one gate,
+from one row of `build_diagram`'s table into the next, or from one state
+vector of `simulate` into the next.  Where no row of a gate's pattern
+holds two non-null entries, each line receives at most one edge, so the
+step assigns the products instead of summing them with `np.add.at`; both
+callers add +0.0 once after their last step, so every zero reads +0.0, as
+the sum leaves it.  The renderers read the tables directly and format each
+line's y and each boundary's x once.
 
 The four records, `Gate`, `Circuit`, `DiagramLayer` and `StateDiagram`,
 are built once per gate, per circuit and per position, so they are plain
@@ -33,19 +35,23 @@ construction, and generating the classes would cost every process that
 imports this module.  Their arrays, the state that is actually shared, are
 read-only; their attributes are not to be rebound.
 
-A `Gate` is the one record of a gate: it holds its own read-only complex
-copy of the matrix and derives once its `label` and its non-null
-`pattern` (one byte per entry, 1 where |entry| > EDGE_TOL).  Where a
-gate's edges run depends only on the register size, the targets and that
-pattern; the values only label them.  So `_edge_layout` caches, per key
-(n_qubits, targets, pattern), the read-only src/dst arrays and the gate
-entry each edge carries.  `build_diagram` and `simulate` look up each
-distinct Gate's layout once per call and gather its values into that order
-once, in a dict keyed by the Gate object, so every position of a gate
-shares one read-only (src, dst, amp); complete-mode layers hold these
-arrays themselves.  `build_gate` re-expresses a matrix over sorted targets
-only for gates on two or more qubits; on one qubit the listed order is the
-sorted order.  The cache holds `_LAYOUT_CACHE_SIZE` = MAX_DIAGRAM_EDGES >>
+A `Gate` is the one record of a gate: it takes its name, parameters,
+qubit arguments as written and its matrix over those arguments sorted, and
+derives the rest.  It holds its own read-only complex copy of the matrix
+and derives once its sorted `targets`, its `label` and its non-null
+`pattern` (one byte per entry, 1 where |entry| > EDGE_TOL).  A `Circuit`
+takes its gates and input state and reads its register size off the
+state.  Where a gate's edges run depends only on the register size, the
+targets and that pattern; the values only label them.  So `_edge_layout`
+caches, per key (n_qubits, targets, pattern), the read-only src/dst arrays,
+the gate entry each edge carries and whether each line receives at most
+one edge.  `build_diagram` and `simulate` look up each distinct Gate's
+layout once per call and gather its values into that order once, in a dict
+keyed by the Gate object, so every position of a gate shares one read-only
+(src, dst, amp); complete-mode layers hold these arrays themselves.
+`build_gate` re-expresses a matrix over sorted targets only for gates on
+two or more qubits; on one qubit the listed order is the sorted order.  The
+cache holds `_LAYOUT_CACHE_SIZE` = MAX_DIAGRAM_EDGES >>
 MAX_QUBITS = 256 layouts: a unitary's pattern has a non-null entry in every
 column, so every gate at n = 10 has at least 2^10 edges, a circuit under
 the cap has at most 256 gates, and building it never evicts a layout it
@@ -114,6 +120,7 @@ from .core import (
     FormatError,
     PureState,
     _check_n_qubits,
+    basis_state,
     parse_complex,
     parse_number,
     unitarity_defect,
@@ -185,8 +192,9 @@ class Gate:
     """One gate instance: display form plus the matrix over sorted targets.
 
     `qubit_args` preserves the argument order as written (control first
-    for controlled gates); `targets` is the same set sorted ascending and
-    `matrix` is expressed with bit j of its index addressing targets[j].
+    for controlled gates); the Gate derives `targets`, the same qubits
+    sorted ascending, and `matrix` must be expressed with bit j of its
+    index addressing targets[j].
     The Gate holds its own read-only complex copy of `matrix`, and derives
     once its display `label` and its non-null `pattern`: one byte, 0 or 1,
     per entry in row-major order, 1 where |entry| > EDGE_TOL.  One Gate may
@@ -195,7 +203,7 @@ class Gate:
 
     __slots__ = ("name", "params", "qubit_args", "targets", "matrix", "label", "pattern")
 
-    def __init__(self, name: str, params: tuple, qubit_args: tuple, targets: tuple, matrix):
+    def __init__(self, name: str, params: tuple, qubit_args: tuple, matrix):
         matrix = np.array(matrix, dtype=complex)
         matrix.flags.writeable = False
         head = name
@@ -204,30 +212,26 @@ class Gate:
         self.name = name
         self.params = params
         self.qubit_args = qubit_args
-        self.targets = targets
+        self.targets = tuple(sorted(qubit_args))
         self.matrix = matrix
         self.label = head + " " + " ".join(str(q) for q in qubit_args)
         self.pattern = (np.abs(matrix) > EDGE_TOL).tobytes()
 
 
 class Circuit:
-    """A register size, its gates in order and the input state.
+    """Gates in order and the input state, whose size is the register's.
 
-    Each gate's targets must be its qubit arguments, sorted and distinct,
-    inside the register, and its matrix must fit them.
+    Each gate's qubit arguments must be distinct and inside the register,
+    and its matrix must fit them.
     """
 
     __slots__ = ("n_qubits", "gates", "input_state")
 
-    def __init__(self, n_qubits: int, gates: tuple, input_state: PureState):
-        _check_n_qubits(n_qubits)
-        if input_state.n_qubits != n_qubits:
-            raise FormatError("input state size does not match the register")
+    def __init__(self, gates: tuple, input_state: PureState):
+        n_qubits = input_state.n_qubits
         for g in dict.fromkeys(gates):  # each distinct Gate once
-            if g.targets != tuple(sorted(set(g.qubit_args))):
-                raise FormatError(
-                    f"gate {g.label!r} targets {g.targets} are not its qubit arguments "
-                    f"sorted and distinct")
+            if len(set(g.targets)) != len(g.targets):
+                raise FormatError(f"gate {g.label!r} repeats a qubit argument")
             if not all(0 <= q < n_qubits for q in g.targets):
                 raise FormatError(f"gate {g.label!r} targets a qubit outside the register")
             if g.matrix.shape != (1 << len(g.targets),) * 2:
@@ -238,13 +242,12 @@ class Circuit:
         self.input_state = input_state
 
 
-def _reorder_to_sorted(matrix: np.ndarray, listed: tuple) -> tuple:
+def _reorder_to_sorted(matrix: np.ndarray, listed: tuple) -> np.ndarray:
     """Re-express a listed-order (MSB-first) gate matrix over sorted targets."""
     k = len(listed)
-    targets = tuple(sorted(listed))
     # Sorted bit j (qubit targets[j]) is listed bit k-1-i, where listed[i] == targets[j].
-    omap = _scatter_table(tuple(k - 1 - listed.index(t) for t in targets))
-    return targets, matrix[omap[:, None], omap]
+    omap = _scatter_table(tuple(k - 1 - listed.index(t) for t in sorted(listed)))
+    return matrix[omap[:, None], omap]
 
 
 def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
@@ -294,10 +297,9 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             arity += 1
     if len(qubits) != arity:
         raise FormatError(f"{name} acts on {arity} qubit(s), got {len(qubits)} argument(s)")
-    if len(qubits) == 1:  # one target: sorted order is the listed order
-        return Gate(name, params, qubits, qubits, full)
-    targets, sorted_matrix = _reorder_to_sorted(full, qubits)
-    return Gate(name, params, qubits, targets, sorted_matrix)
+    if len(qubits) > 1:  # on one target the listed order is the sorted order
+        full = _reorder_to_sorted(full, qubits)
+    return Gate(name, params, qubits, full)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def parse_circuit(text: str) -> Circuit:
     at the bracket's column while a matrix literal's text is read.
     """
     n_qubits = None
-    input_amps = None
+    input_state = None
     gates = []
     built = {}  # statement text -> (Gate, complete-mode edge count)
     n_edges = 0
@@ -358,7 +360,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise ValueError("duplicate 'qubits' directive")
 
             if head == "input":
-                if input_amps is not None:
+                if input_state is not None:
                     raise ValueError("duplicate 'input' directive")
                 if gates:
                     raise ValueError("'input' must precede all gates")
@@ -375,14 +377,13 @@ def parse_circuit(text: str) -> Circuit:
                     if abs(norm - 1.0) > 1e-6:
                         raise ValueError(
                             f"input amplitudes are far from normalized (|v| = {norm!r})")
-                    input_amps = amps / norm
+                    input_state = PureState(amps / norm)
                 else:
                     index = _int(rest, "input index")
                     if not 0 <= index < dim:
                         raise ValueError(
                             f"input index {index} out of range for {n_qubits} qubit(s)")
-                    input_amps = np.zeros(dim, dtype=complex)
-                    input_amps[index] = 1.0
+                    input_state = basis_state(n_qubits, index)
                 continue
 
             # Gate statement: identical statement text builds one shared Gate.
@@ -417,10 +418,9 @@ def parse_circuit(text: str) -> Circuit:
 
     if n_qubits is None:
         raise CircuitParseError("circuit has no 'qubits' directive", 1, 1)
-    if input_amps is None:
-        input_amps = np.zeros(1 << n_qubits, dtype=complex)
-        input_amps[0] = 1.0
-    return Circuit(n_qubits, tuple(gates), PureState(input_amps))
+    if input_state is None:
+        input_state = basis_state(n_qubits, 0)
+    return Circuit(tuple(gates), input_state)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +429,15 @@ def parse_circuit(text: str) -> Circuit:
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _edge_layout(n_qubits: int, targets: tuple, pattern: bytes) -> tuple:
-    """Where a gate's edges run: read-only (src, dst, entry) arrays sorted by (src, dst).
+    """Where a gate's edges run: read-only (src, dst, entry) arrays sorted by (src, dst),
+    and whether each line receives at most one edge.
 
     The immersion maps line tt[c] + off to line tt[r] + off for every entry
     (r, c) of the gate's non-null `pattern` (`Gate.pattern`) and every
     offset `off` that assigns the qubits outside the gate (tt and the offsets
     are the scatter tables of the targets and of the other qubits); `entry`
-    is r * 2^k + c, the flat index of the gate entry each edge carries.
+    is r * 2^k + c, the flat index of the gate entry each edge carries.  Each
+    line receives at most one edge when no row r holds two non-null entries.
     """
     dim = 1 << len(targets)
     r, c = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(dim, dim))
@@ -447,44 +449,48 @@ def _edge_layout(n_qubits: int, targets: tuple, pattern: bytes) -> tuple:
     layout = src[order], dst[order], np.repeat(r * dim + c, rest.size)[order]
     for a in layout:
         a.flags.writeable = False
-    return layout
+    return (*layout, np.unique(r).size == r.size)
 
 
 def _gate_edges(gate: Gate, n_qubits: int) -> tuple:
     """Edges of the gate's immersed unitary as read-only (src, dst, amp) arrays, sorted by
-    (src, dst).
+    (src, dst), and whether each line receives at most one of them.
 
     `build_diagram` and `simulate` ask once per distinct Gate and share the
     arrays among the gate's positions.
     """
-    src, dst, entry = _edge_layout(n_qubits, gate.targets, gate.pattern)
+    src, dst, entry, one_per_line = _edge_layout(n_qubits, gate.targets, gate.pattern)
     amp = gate.matrix.ravel()[entry]
     amp.flags.writeable = False
-    return src, dst, amp
+    return src, dst, amp, one_per_line
 
 
-def _one_edge_per_line(gate: Gate) -> bool:
-    """Whether each line receives at most one of the gate's edges: no row of its
-    pattern holds two non-null entries, so the gate scatters with a plain
-    assignment instead of a sum."""
-    dim = 1 << len(gate.targets)
-    pattern = gate.pattern
-    return all(pattern.count(1, row, row + dim) <= 1 for row in range(0, dim * dim, dim))
+def _step(edges: tuple, state: np.ndarray, out: np.ndarray) -> None:
+    """Move `state` across one gate into the zeroed `out`: each edge (src, dst, amp) of
+    `_gate_edges` carries amp * state[src] onto out[dst].
+
+    Where each line receives at most one edge the products are assigned, not
+    summed.  An assigned product of zeros may be -0.0 where the sum onto a
+    zero leaves +0.0, so after its last step a caller adds +0.0 once, which
+    changes nothing else.
+    """
+    src, dst, amp, one_per_line = edges
+    if one_per_line:
+        out[dst] = amp * state[src]
+    else:
+        np.add.at(out, dst, amp * state[src])
 
 
 def simulate(circuit: Circuit) -> PureState:
-    """Final state of the circuit applied to its input.
-
-    Each edge (src, dst, amp) of a gate's immersed unitary adds
-    amp * psi[src] onto the next state's dst entry.
-    """
+    """Final state of the circuit applied to its input, one `_step` per gate."""
     n_qubits, gates = circuit.n_qubits, circuit.gates
     edges = {gate: _gate_edges(gate, n_qubits) for gate in dict.fromkeys(gates)}
     psi = circuit.input_state.amplitudes.copy()
     for gate in gates:
-        src, dst, amp = edges[gate]
         psi, prev = np.zeros(psi.shape, dtype=complex), psi
-        np.add.at(psi, dst, amp * prev[src])
+        _step(edges[gate], prev, psi)
+    if gates:  # an empty circuit keeps its input's bits
+        psi += 0.0
     return PureState(psi, atol=1e-9)
 
 
@@ -554,23 +560,17 @@ def build_diagram(circuit: Circuit, mode: str = "complete") -> StateDiagram:
     amps, actives = list(amp_table), list(active_table)
     amps[0][:] = circuit.input_state.amplitudes
     actives[0][:] = np.abs(amps[0]) > EDGE_TOL
-    edges = {gate: (*_gate_edges(gate, n_qubits), _one_edge_per_line(gate))
-             for gate in dict.fromkeys(gates)}
+    edges = {gate: _gate_edges(gate, n_qubits) for gate in dict.fromkeys(gates)}
     layers = []
     for t, gate in enumerate(gates):
-        src, dst, amp, one_per_line = edges[gate]
-        if one_per_line:
-            amps[t + 1][dst] = amp * amps[t][src]
-        else:
-            np.add.at(amps[t + 1], dst, amp * amps[t][src])
+        _step(edges[gate], amps[t], amps[t + 1])
+        src, dst, amp, _ = edges[gate]
         reached = actives[t][src].nonzero()[0]
         actives[t + 1][dst[reached]] = True
         if mode == "simplified":
             src, dst, amp = src[reached], dst[reached], amp[reached]
         layers.append(DiagramLayer(gate.label, src, dst, amp))
-    # An assigned product of zeros may be -0.0 where a sum onto the zeroed
-    # row leaves +0.0; adding +0.0 turns it into that and changes nothing else.
-    amp_table[1:] += 0.0
+    amp_table[1:] += 0.0  # the sign of zero that sums leave (see `_step`)
     return StateDiagram(n_qubits, mode, tuple(layers), active_table, amp_table)
 
 

@@ -36,7 +36,6 @@ from .core import (
     _register_matrix,
     as_complex_matrix,
     matrix_from_json_dict,
-    matrix_to_json_dict,
     n_qubits_for_dim,
     unitarity_defect,
 )
@@ -222,13 +221,6 @@ def channel_with_ancilla(channel: KrausChannel, rho: DensityMatrix) -> DensityMa
     joint = tensor(anc, rho.matrix)
     evolved = DensityMatrix(u @ joint @ u.conj().T)
     return partial_trace(evolved, [evolved.n_qubits - 1])
-
-
-def channel_to_json_dict(channel: KrausChannel) -> dict:
-    return {
-        "name": channel.name,
-        "operators": [matrix_to_json_dict(op) for op in channel.operators],
-    }
 
 
 def channel_from_json_dict(doc) -> KrausChannel:

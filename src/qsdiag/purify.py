@@ -118,4 +118,4 @@ def synthesize_purification_circuit(rho: DensityMatrix) -> Circuit:
         build_gate("phase", (phi,), (1,), 2),
         build_gate("cphase", (-phi if phi != 0.0 else 0.0,), (1, 0), 2),
     )
-    return Circuit(2, gates, basis_state(2, 0))
+    return Circuit(gates, basis_state(2, 0))

@@ -5,9 +5,10 @@ trace and the qubit relabelling work on reshaped axes, the dense immersion
 of a gate reads each entry off the bits of its row and column index,
 channel evolution repeats the raw Kraus sum one operator at a time, Bloch
 maps come from Pauli traces over that sum, unitaries are drawn via QR
-with a column phase fix, channel specs are written out field by field
-for `parse_channel_spec` to read back, and matrix JSON is decoded with the
-standard library's parser and a type check of every entry.
+with a column phase fix, channel specs and channel documents are written
+out field by field for `parse_channel_spec` and `channel_from_json_dict`
+to read back, and matrix JSON is decoded with the standard library's
+parser and a type check of every entry.
 """
 
 import json
@@ -85,6 +86,16 @@ def format_spec_oracle(spec) -> str:
         fields.append(",".join(f"{a.real:.17g}{a.imag:+.17g}j" if a.imag else f"{a.real:.17g}"
                                for a in spec.env_amplitudes))
     return ":".join(fields)
+
+
+def channel_to_json_oracle(channel) -> dict:
+    """The channel document {"name", "operators"} of a KrausChannel: each operator's
+    shape and row-major real and imaginary parts, entry by entry."""
+    return {"name": channel.name,
+            "operators": [{"rows": len(op), "cols": len(op[0]),
+                           "re": [float(z.real) for row in op for z in row],
+                           "im": [float(z.imag) for row in op for z in row]}
+                          for op in channel.operators]}
 
 
 def kraus_apply_raw(operators, matrix, steps: int = 1) -> np.ndarray:

@@ -508,7 +508,6 @@ def _register_refusals():
     }
     takes_size = {
         "basis_state": lambda n: basis_state(n, 0),
-        "Circuit": lambda n: Circuit(n, (), basis_state(1, 0)),
         "parse_circuit": lambda n: parse_circuit(f"qubits {n}\n"),
     }
     for rows, cols in [(1, 1), (2, 3), (3, 3), (2048, 2048)]:
@@ -552,14 +551,13 @@ _MISFITS = {
     "ellipsoid_samples-1-latitude": (lambda: ellipsoid_samples(_IDENTITY_MAP, 1, 4), "n_lat"),
     "ellipsoid_samples-1-longitude": (lambda: ellipsoid_samples(_IDENTITY_MAP, 4, 1), "n_lon"),
     "points_to_csv-Nx2": (lambda: points_to_csv(np.zeros((2, 2))), r"\(N, 3\)"),
-    "Circuit-input-size": (lambda: Circuit(2, (), basis_state(1, 0)), "input state size"),
-    "Circuit-unsorted-targets": (
-        lambda: Circuit(2, (Gate("x", (), (1,), (0,), np.eye(2)[::-1]),), basis_state(2, 0)),
-        "sorted and distinct"),
+    "Circuit-repeated-arguments": (
+        lambda: Circuit((Gate("cx", (), (1, 1), np.eye(4)),), basis_state(2, 0)),
+        "repeats a qubit argument"),
     "Circuit-target-outside": (
-        lambda: Circuit(1, (build_gate("x", (), (1,), 2),), basis_state(1, 0)), "outside"),
+        lambda: Circuit((build_gate("x", (), (1,), 2),), basis_state(1, 0)), "outside"),
     "Circuit-matrix-misfit": (
-        lambda: Circuit(1, (Gate("x", (), (0,), (0,), np.eye(4)),), basis_state(1, 0)),
+        lambda: Circuit((Gate("x", (), (0,), np.eye(4)),), basis_state(1, 0)),
         "does not fit"),
     "make_rotation-axis-w": (lambda: make_rotation("w", 0.5), "axis must be"),
     "make_deformation-unknown-kind": (
@@ -578,7 +576,7 @@ _MISFITS = {
     "build_gate-arity": (lambda: build_gate("cx", (), (0,), 2), r"acts on 2 qubit"),
     "basis_state-index-outside": (lambda: basis_state(2, 4), "out of range"),
     "build_diagram-unknown-mode": (
-        lambda: build_diagram(Circuit(1, (), basis_state(1, 0)), mode="partial"), "mode must be"),
+        lambda: build_diagram(Circuit((), basis_state(1, 0)), mode="partial"), "mode must be"),
 }
 
 

@@ -243,7 +243,7 @@ def random_oracle_circuit(gen, n, n_gates) -> Circuit:
         state = random_pure(gen, n)
     else:
         state = basis_state(n, int(gen.integers(2 ** n)))
-    return Circuit(n, tuple(gates), state)
+    return Circuit(tuple(gates), state)
 
 
 def diagram_oracle(circuit, mode):
@@ -367,9 +367,9 @@ def test_build_diagram_caps_circuits_built_in_code():
     # Each h on 10 qubits adds 2048 complete-mode edges, as in the parse-time cap.
     h = build_gate("h", (), [0], 10)
     per_h = MAX_DIAGRAM_EDGES // 2048
-    at_cap = Circuit(10, (h,) * per_h, basis_state(10, 0))
+    at_cap = Circuit((h,) * per_h, basis_state(10, 0))
     assert len(build_diagram(at_cap, mode="simplified").layers) == per_h
-    over = Circuit(10, (h,) * 400, basis_state(10, 0))
+    over = Circuit((h,) * 400, basis_state(10, 0))
     for mode in ("complete", "simplified"):
         with pytest.raises(FormatError, match=f"exceeds the cap .* at gate {per_h} "):
             build_diagram(over, mode=mode)
@@ -456,28 +456,38 @@ def test_chunks_written_in_turn_are_the_golden_renders(name, mode, golden):
 
 def test_circuit_validation_catches_misfit_gate():
     with pytest.raises(ValueError):
-        Circuit(1, (build_gate("x", (), (1,), 2),), basis_state(1, 0))
+        Circuit((build_gate("x", (), (1,), 2),), basis_state(1, 0))
 
 
 CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
+def test_gate_and_circuit_derive_targets_and_register_size():
+    """A Gate sorts its qubit arguments into its targets, and a Circuit takes its
+    register size from its input state."""
+    gate = Gate("cx", (), (2, 0), CX)
+    assert gate.qubit_args == (2, 0) and gate.targets == (0, 2)
+    state = basis_state(3, 5)
+    circuit = Circuit((gate,), state)
+    assert circuit.n_qubits == state.n_qubits == 3
+    assert circuit.gates == (gate,) and circuit.input_state is state
+
+
 @pytest.mark.parametrize("gate, message", [
-    (Gate("cx", (), (5, 0), (5, 0), CX), "not its qubit arguments"),
-    (Gate("cx", (), (0, 0), (0, 0), CX), "not its qubit arguments"),
-    (Gate("x", (), (1,), (0,), np.eye(2)[::-1]), "not its qubit arguments"),
-    (Gate("x", (), (-1,), (-1,), np.eye(2)[::-1]), "outside the register"),
-], ids=["unsorted", "repeated", "not-the-arguments", "negative"])
+    (Gate("cx", (), (5, 0), CX), r"gate 'cx 5 0' targets a qubit outside the register"),
+    (Gate("cx", (), (0, 0), CX), r"gate 'cx 0 0' repeats a qubit argument"),
+    (Gate("x", (), (-1,), np.eye(2)[::-1]), r"gate 'x -1' targets a qubit outside the register"),
+], ids=["unsorted", "repeated", "negative"])
 def test_circuit_rejects_gate_targets_that_are_not_its_sorted_arguments(gate, message):
-    with pytest.raises(ValueError, match=message) as err:
-        Circuit(3, (gate,), basis_state(3, 0))
-    assert repr(gate.label) in str(err.value)
+    """A Circuit refuses a gate whose qubit arguments repeat or leave the register."""
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        Circuit((gate,), basis_state(3, 0))
 
 
 def test_circuit_rejects_gate_matrix_that_misfits_its_targets():
-    gate = Gate("x", (), (0,), (0,), np.eye(4, dtype=complex))
-    with pytest.raises(ValueError, match="does not fit"):
-        Circuit(2, (gate,), basis_state(2, 0))
+    gate = Gate("x", (), (0,), np.eye(4, dtype=complex))
+    with pytest.raises(FormatError, match=r"^gate 'x 0' matrix does not fit its 1 target\(s\)$"):
+        Circuit((gate,), basis_state(2, 0))
 
 
 # --- records holding arrays --------------------------------------------------

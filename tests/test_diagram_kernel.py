@@ -36,6 +36,7 @@ from helpers import immerse_oracle, random_pure, random_unitary
 from qsdiag import (
     Circuit,
     FormatError,
+    PureState,
     basis_state,
     build_diagram,
     build_gate,
@@ -206,7 +207,7 @@ def circuits(draw):
         state = basis_state(n, draw(st.integers(0, 2 ** n - 1)))
     else:
         state = random_pure(np.random.default_rng(draw(SEEDS)), n)
-    return Circuit(n, tuple(gates), state)
+    return Circuit(tuple(gates), state)
 
 
 def check_against_oracle(circuit, mode, reference=None):
@@ -291,8 +292,8 @@ def test_repeated_statements_match_dense_oracle(drawn, mode):
     # Identical statement text is one shared Gate object, and only then.
     assert len({id(gate) for gate in circuit.gates}) == len({_statement_text(*s)
                                                              for s in statements})
-    reference = Circuit(n, tuple(build_gate(name, params, qubits, n, matrix=matrix)
-                                 for name, params, qubits, matrix in statements),
+    reference = Circuit(tuple(build_gate(name, params, qubits, n, matrix=matrix)
+                              for name, params, qubits, matrix in statements),
                         circuit.input_state)
     check_against_oracle(circuit, mode, reference)
 
@@ -322,11 +323,11 @@ def test_gate_matrices_are_read_only():
         circuit.gates[0].matrix[0, 0] = 0
     # A Gate built in code holds its own complex copy: the caller's array stays the caller's.
     owned = np.array([[0, 1], [1, 0]])
-    gate = Gate("flip", (), (0,), (0,), owned)
+    gate = Gate("flip", (), (0,), owned)
     owned[:] = [[1, 0], [0, 1]]
     assert gate.matrix.dtype == complex and not gate.matrix.flags.writeable
     assert np.array_equal(gate.matrix, [[0, 1], [1, 0]])
-    assert build_diagram(Circuit(1, (gate,), basis_state(1, 0))).layers[0].edges == (
+    assert build_diagram(Circuit((gate,), basis_state(1, 0))).layers[0].edges == (
         (0, 1, 1), (1, 0, 1))
 
 
@@ -363,7 +364,7 @@ def test_wide_line_labels_match_the_reference_renders(n, mode):
     gen = np.random.default_rng(n)
     statements = ["h 0", f"cx 0 {n - 1}", f"swap 1 {n - 2}", f"rz(0.7) {n // 2}", "t 3"] * 2
     circuit = parse_circuit(f"qubits {n}\n" + "\n".join(statements) + "\n")
-    circuit = Circuit(n, circuit.gates, random_pure(gen, n))
+    circuit = Circuit(circuit.gates, random_pure(gen, n))
     diag = build_diagram(circuit, mode=mode)
     assert render_text(diag) == render_text_oracle(diag)
     assert render_svg(diag) == render_svg_oracle(diag)
@@ -427,9 +428,10 @@ def test_edge_layouts_are_keyed_by_register_targets_and_pattern():
                           (3, ["cx 0 1", "rz(1.1) 0"])):
         circuit = parse_circuit(f"qubits {n}\n" + "\n".join(statements) + "\n")
         for gate in circuit.gates:
-            src, dst, amp = qsdiag.diagram._gate_edges(gate, n)
+            src, dst, amp, one_per_line = qsdiag.diagram._gate_edges(gate, n)
             edges = list(zip(src.tolist(), dst.tolist(), amp.tolist()))
             assert edges == dense_edges(gate, n), (n, gate.label)
+            assert one_per_line == (len(set(dst.tolist())) == len(dst)), (n, gate.label)
     # Only the second rz reuses a layout.
     info = qsdiag.diagram._edge_layout.cache_info()
     assert (info.hits, info.misses) == (1, 6)
@@ -454,18 +456,27 @@ def test_boundaries_are_rows_of_one_table_per_diagram():
 
 def test_amplitude_rows_hold_the_bits_of_sums_onto_zeroed_rows():
     """A gate that sends one edge into each line has its products assigned, not
-    summed, and a product of zeros can be -0.0: every row must still hold the
-    bits that summing each gate's edges onto a zeroed row gives."""
-    circuit = parse_circuit("qubits 2\ninput [0.6, 0, 0, -0.8j]\n"
-                            "z 0\ny 1\ncz 0 1\nrz(2.5) 0\nh 1\nx 0\n")
-    for mode in ("complete", "simplified"):
-        table = build_diagram(circuit, mode=mode).amplitudes
-        psi = table[0]
-        for t, gate in enumerate(circuit.gates):
-            src, dst, amp = qsdiag.diagram._gate_edges(gate, 2)
+    summed, and a product of zeros can be -0.0: every row of the table, and
+    `simulate`'s output, must still hold the bits that summing each gate's
+    edges onto a zeroed row gives.  With no gate, both hold the input's bits,
+    a -0.0 entry included.  The last `z 0` assigns -1 * 0 onto a line."""
+    gates = parse_circuit("qubits 2\nz 0\ny 1\ncz 0 1\nrz(2.5) 0\nh 1\nh 1\nx 0\nz 0\n").gates
+    for amps in ([0.6, 0, 0, -0.8j], [0.6, -0.0, 0, -0.8j], [-0.0, -0.6, 0.8, 0]):
+        circuit = Circuit(gates, PureState(amps))
+        psi = circuit.input_state.amplitudes
+        rows = [psi.tobytes()]
+        for gate in circuit.gates:
+            src, dst, amp, _ = qsdiag.diagram._gate_edges(gate, 2)
             psi, prev = np.zeros(4, dtype=complex), psi
             np.add.at(psi, dst, amp * prev[src])
-            assert table[t + 1].tobytes() == psi.tobytes(), (mode, gate.label)
+            rows.append(psi.tobytes())
+        for mode in ("complete", "simplified"):
+            table = build_diagram(circuit, mode=mode).amplitudes
+            assert [row.tobytes() for row in table] == rows, (amps, mode)
+        assert simulate(circuit).amplitudes.tobytes() == rows[-1], amps
+        empty = Circuit((), circuit.input_state)
+        assert simulate(empty).amplitudes.tobytes() == rows[0], amps
+        assert build_diagram(empty).amplitudes.tobytes() == rows[0], amps
 
 
 def test_renderers_treat_the_diagram_as_read_only():
@@ -481,8 +492,8 @@ def test_gate_over_the_cap_caches_no_layout():
     # 4^10 non-null entries on all 10 qubits: 2^20 edges, four times the cap.
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     matrix = functools.reduce(np.kron, [h] * 10)
-    gate = Gate("h10", (), tuple(range(10)), tuple(range(10)), matrix)
-    circuit = Circuit(10, (gate,), basis_state(10, 0))
+    gate = Gate("h10", (), tuple(range(10)), matrix)
+    circuit = Circuit((gate,), basis_state(10, 0))
     before = qsdiag.diagram._edge_layout.cache_info()
     with pytest.raises(FormatError, match=r"exceeds the cap .* at gate 0 "):
         build_diagram(circuit)
@@ -496,7 +507,7 @@ def test_edge_layout_cache_stays_bounded():
     assert maxsize == qsdiag.diagram._LAYOUT_CACHE_SIZE
     for pattern in range(1, maxsize + 40):  # more distinct 4x4 masks than the cache holds
         mask = np.array([(pattern >> bit) & 1 for bit in range(16)], dtype=bool)
-        src, _, entry = layout(3, (0, 2), mask.tobytes())
+        src, _, entry, _ = layout(3, (0, 2), mask.tobytes())
         assert src.size == 2 * mask.sum() and set(entry.tolist()) == set(np.flatnonzero(mask))
     assert layout.cache_info().currsize <= maxsize
 
@@ -513,7 +524,7 @@ def test_layouts_of_a_circuit_at_the_cap_stay_cached():
                              matrix=np.eye(4)[list(perms[i // len(pairs)])])
                   for i in range(qsdiag.diagram._LAYOUT_CACHE_SIZE))
     assert len({(gate.targets, gate.pattern) for gate in gates}) == len(gates)
-    circuit = Circuit(n, gates, basis_state(n, 0))
+    circuit = Circuit(gates, basis_state(n, 0))
     assert sum(len(layer.src) for layer in build_diagram(circuit).layers) == (
         qsdiag.diagram.MAX_DIAGRAM_EDGES)
     before = qsdiag.diagram._edge_layout.cache_info()

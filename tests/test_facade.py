@@ -53,7 +53,7 @@ def test_every_public_name_is_its_home_modules_attribute():
         home = importlib.import_module(f"qsdiag.{module}")
         for name in names:
             assert getattr(qsdiag, name) is getattr(home, name)
-    assert qsdiag.__all__ == sorted(qsdiag._HOME) and len(qsdiag.__all__) == 53
+    assert qsdiag.__all__ == sorted(qsdiag._HOME) and len(qsdiag.__all__) == 52
 
 
 def test_replaced_attribute_shows_through_the_facade(monkeypatch):

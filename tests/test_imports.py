@@ -1,7 +1,8 @@
 """Every import in `src/` and `tests/` is read somewhere in its own module,
-the third-party modules `src/` imports are its declared dependencies, and
-the test oracles in `tests/helpers.py` take only the state records from
-`qsdiag`.
+every function and class `src/` defines is read somewhere in `src/` or
+exported, the third-party modules `src/` imports are its declared
+dependencies, and the test oracles in `tests/helpers.py` take only the
+state records from `qsdiag`.
 
 An AST scan stands in for a linter.  A name bound by `from m import x` or
 `import m as x` counts as read when the module loads the name anywhere; a
@@ -17,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import qsdiag
+
 ROOT = Path(__file__).resolve().parent.parent
-FACADE = ROOT / "src" / "qsdiag" / "__init__.py"
+SRC = ROOT / "src" / "qsdiag"
+FACADE = SRC / "__init__.py"
 PYPROJECT = ROOT / "pyproject.toml"
 MODULES = sorted(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py")
                  if path != FACADE)
@@ -59,6 +63,41 @@ def test_module_reads_every_import(path):
 def test_scan_flags_an_unread_import():
     source = "import os\nimport a.b\nfrom c import d, e as f\nimport g.h\nprint(d, g.h.i)\n"
     assert unused_imports(source) == [(1, "os"), (2, "a.b"), (3, "f")]
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) for every module-level function and class that no module in
+    `sources` (module name -> source text) reads by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_every_definition_in_src_is_read_or_exported():
+    """Dead code fails here: a function or class of `src/qsdiag` that `src/` never reads
+    must be a public name of the facade.  `cli.main` looks up the `cmd_*` handlers by
+    name, and Python itself calls the facade's `__getattr__` and `__dir__`."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    unread = [(module, name) for module, name in unread_definitions(sources)
+              if name not in qsdiag._HOME]
+    exempt = [(module, name) for module, name in unread
+              if (module, name[:4]) == ("cli", "cmd_")
+              or (module, name) in {("__init__", "__getattr__"), ("__init__", "__dir__")}]
+    assert unread == exempt
+
+
+def test_scan_flags_an_unread_definition():
+    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n",
+               "b": "import a\nx = a.C\ndef h(g=1):\n    pass\n"}
+    assert unread_definitions(sources) == [("a", "f"), ("b", "h")]
 
 
 def imported_top_levels(source: str) -> set:

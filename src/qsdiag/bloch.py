@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import I2, PAULIS, DensityMatrix, FormatError
-from .kraus import COMPLETENESS_TOL, KrausChannel, _check_trace_preserving, _transfer_matrix
+from .core import I2, PAULIS, SPECTRAL_TOL, DensityMatrix, FormatError
+from .kraus import KrausChannel, _check_trace_preserving, _transfer_matrix
 
-NORM_SLACK = 1e-10
 # Rows formatted per block by `points_to_csv`, bounding its transient lists.
 CSV_BLOCK_ROWS = 4096
 # The affine probes I/2 and the +x, +y, +z axis states as row-major vec
@@ -47,10 +46,10 @@ def dm_from_bloch(vector) -> DensityMatrix:
     if v.size != 3:
         raise FormatError(f"Bloch vector needs 3 components, got {v.size}")
     norm = float(np.linalg.norm(v))
-    if norm > 1.0 + NORM_SLACK:
+    if norm > 1.0 + SPECTRAL_TOL:
         raise ValueError(f"Bloch vector lies outside the unit ball: |v| = {norm!r}")
     m = (I2 + v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]) / 2.0
-    return DensityMatrix(m, psd_tol=max(1e-12, 2 * NORM_SLACK))
+    return DensityMatrix(m, psd_tol=2 * SPECTRAL_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +76,7 @@ def affine_map_of_channel(channel: KrausChannel) -> BlochAffineMap:
     """
     if channel.dim != 2:
         raise FormatError("affine extraction is defined for single-qubit channels")
-    _check_trace_preserving(channel, COMPLETENESS_TOL)
+    _check_trace_preserving(channel, SPECTRAL_TOL)
     images = (_transfer_matrix(channel) @ _PROBES).reshape(4, 2, 2)
     center = _bloch_coords(images[0])
     columns = [_bloch_coords(image) - center for image in images[1:]]

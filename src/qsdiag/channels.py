@@ -26,7 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, FormatError, parse_complex, parse_number
+from .core import (
+    ALGEBRAIC_TOL,
+    I2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    FormatError,
+    parse_complex,
+    parse_number,
+)
 from .kraus import KrausChannel, prune_operators
 
 # Pauli index of the flip each deformation channel applies.
@@ -186,7 +195,7 @@ def _check_bounded_theta(kind: str, theta: float):
     """Require a finite theta, and theta in [0, pi] for the bounded kinds."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if _KINDS[kind][1] and not 0.0 <= theta <= math.pi + 1e-12:
+    if _KINDS[kind][1] and not 0.0 <= theta <= math.pi + ALGEBRAIC_TOL:
         raise ValueError(f"{kind} requires theta in [0, pi], got {theta!r}")
 
 
@@ -197,7 +206,7 @@ def _normalized_env(env_amplitudes) -> tuple:
         raise ValueError(f"expected 4 environment amplitudes, got {len(amps)}")
     # hypot scales internally, so huge amplitudes give a finite norm that fails below.
     norm = math.hypot(*(part for a in amps for part in (a.real, a.imag)))
-    if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN
+    if not abs(norm - 1.0) <= ALGEBRAIC_TOL:  # also rejects NaN
         raise ValueError(f"environment amplitudes are not normalized: |v| = {norm!r}")
     return amps
 

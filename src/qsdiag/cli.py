@@ -6,7 +6,11 @@ Matrices travel as JSON ({"rows", "cols", "re", "im"}), channels as
 in the text format of `qsdiag.diagram`.  Numeric flags accept finite
 decimals or pi-fractions such as "pi/4".  validate, evolve, purify and
 trace take a validation tolerance from --tol, else the QSDIAG_TOL
-environment variable, else 1e-10; it must be non-negative and below 1.
+environment variable, else `validate_density`'s default, `qsdiag.core`'s
+SPECTRAL_TOL (1e-10); it must be non-negative and below 1.  A matrix read as
+a density matrix gets at least ALGEBRAIC_TOL for its Hermiticity and trace
+and SPECTRAL_TOL for its eigenvalues, and `evolve`'s channel at least
+ALGEBRAIC_TOL for its completeness; the bounds are `qsdiag.core`'s.
 ellipsoid and diagram validate no matrix and take no --tol.
 `ellipsoid --grid` needs at least 2x2 and is capped at MAX_GRID_POINTS
 points; other grids are unusable flags (exit 2).
@@ -49,6 +53,8 @@ from .bloch import affine_map_of_channel, ellipsoid_samples, points_to_csv
 from .channels import channel_from_spec, parse_channel_spec
 from .composite import partial_trace
 from .core import (
+    ALGEBRAIC_TOL,
+    SPECTRAL_TOL,
     DensityMatrix,
     FormatError,
     _register_matrix,
@@ -62,7 +68,6 @@ from .diagram import build_diagram, parse_circuit, render_svg_chunks, render_tex
 from .kraus import apply_channel
 from .purify import purify_single_qubit
 
-DEFAULT_TOL = 1e-10
 # Largest LATxLON product `ellipsoid --grid` accepts (the points are held in memory).
 MAX_GRID_POINTS = 1_000_000
 # Largest `evolve --steps`: about 0.15 s, at about 1 us a one-qubit step through
@@ -73,7 +78,7 @@ MAX_STEPS = 100_000
 def _resolve_tol(args) -> float:
     text = args.tol if args.tol is not None else os.environ.get("QSDIAG_TOL") or None
     if text is None:
-        return DEFAULT_TOL
+        return SPECTRAL_TOL
     tol = parse_number(text)
     # Below 1, every accepted matrix has entries of order 2^n at most, so no
     # later sum can overflow.
@@ -110,7 +115,8 @@ def _load_matrix(path: str):
 
 
 def _load_density(path: str, tol: float) -> DensityMatrix:
-    return DensityMatrix(_load_matrix(path), atol=max(tol, 1e-12), psd_tol=max(tol, 1e-10))
+    return DensityMatrix(_load_matrix(path), atol=max(tol, ALGEBRAIC_TOL),
+                         psd_tol=max(tol, SPECTRAL_TOL))
 
 
 def cmd_validate(args) -> tuple:
@@ -132,7 +138,7 @@ def cmd_evolve(args) -> tuple:
     channel = channel_from_spec(parse_channel_spec(args.channel))
     if not 0 <= args.steps <= MAX_STEPS:
         raise FormatError(f"--steps must be in 0..{MAX_STEPS}, got {args.steps}")
-    rho = apply_channel(channel, rho, tol=max(tol, 1e-12), steps=args.steps)
+    rho = apply_channel(channel, rho, tol=max(tol, ALGEBRAIC_TOL), steps=args.steps)
     return [matrix_to_json(rho.matrix) + "\n"], 0
 
 
@@ -207,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tolerant = argparse.ArgumentParser(add_help=False)
     tolerant.add_argument("--tol", default=None,
                           help="tolerance override (decimal or pi-fraction); "
-                               "default: QSDIAG_TOL or 1e-10")
+                               f"default: QSDIAG_TOL or {SPECTRAL_TOL:g}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this file")
 

@@ -26,6 +26,12 @@ tests a dimension, `_check_n_qubits` a qubit count and `_register_matrix`
 a matrix; every other module calls them and keeps no copy of the rule, so
 the library refuses, with `FormatError`, exactly what the CLI refuses.
 
+It also holds the bounds, once for the package: each tolerance that a
+defect or a magnitude is checked against (Hermiticity, trace, positivity,
+completeness, unitarity, norms, null entries) is one named constant in one
+commented block, with its reason.  Other modules import the names and write
+no tolerance literal of their own.
+
 Constructing a `DensityMatrix` validates it (one eigendecomposition), so
 the package builds them at its boundaries only: input matrices and final
 results.  Intermediate states, such as the steps of a repeated channel
@@ -42,12 +48,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances.  Algebraic identities (hermiticity, trace, norms)
-# are expected to hold to near machine precision; spectral quantities
-# (eigenvalues, reconstructions) get an order of magnitude more slack.
+# The bounds: every tolerance the package compares a defect or a magnitude
+# against, one name per reason (see the module docstring).
+# An input's own identities (norm, Hermiticity, trace) hold to rounding.
 ALGEBRAIC_TOL = 1e-12
+# Quantities computed from products or eigenvalues of an input.
 SPECTRAL_TOL = 1e-10
-PSD_SLACK = 1e-10
+# Norm or unitarity after many rounded steps.
+DRIFT_TOL = 1e-9
+# A Gram-Schmidt residual this short is linearly dependent.
+INDEPENDENCE_TOL = 1e-8
+# Circuit-text amplitudes carry few digits.
+TEXT_NORM_TOL = 1e-6
+# A null entry: it makes no diagram edge and prints as 0.
+EDGE_TOL = 1e-12
+# A Kraus operator whose largest entry is below this vanishes.
+PRUNE_TOL = 1e-14
+# A coherence this small carries no phase.
+PHASE_TOL = 1e-15
+# Below this weight on |0><0| the purification's closed form would divide by ~0.
+DEGENERATE_EPS = 1e-300
 
 MAX_QUBITS = 10
 
@@ -162,7 +182,7 @@ class DensityMatrix:
     smallest eigenvalue may be (rounding slack).
     """
 
-    def __init__(self, matrix, *, atol: float = ALGEBRAIC_TOL, psd_tol: float = PSD_SLACK):
+    def __init__(self, matrix, *, atol: float = ALGEBRAIC_TOL, psd_tol: float = SPECTRAL_TOL):
         m, self.n_qubits = _register_matrix(matrix)
         report = validate_density(m, tol=max(atol, psd_tol))
         if report.hermiticity_defect > atol:
@@ -228,15 +248,15 @@ def dm_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
-def spectral_decompose(rho: DensityMatrix, tol: float = SPECTRAL_TOL):
+def spectral_decompose(rho: DensityMatrix):
     """Eigenvalues and eigenvectors of a density matrix, largest eigenvalue first.
 
     Returns a list of (eigenvalue, PureState) pairs.  Eigenvectors are
     canonicalized so that the first component above `ALGEBRAIC_TOL` in
     absolute value is real and positive, which makes repeated runs (and
     different callers) agree bit-for-bit on non-degenerate spectra.
-    The eigenvalues sum to 1 within `tol` and reconstructing
-    sum_k w_k |v_k><v_k| reproduces the input within `tol`.
+    The eigenvalues sum to 1 within `SPECTRAL_TOL` and reconstructing
+    sum_k w_k |v_k><v_k| reproduces the input within `SPECTRAL_TOL`.
     """
     w, v = np.linalg.eigh(rho.matrix)
     order = np.argsort(w)[::-1]  # descending, stable for exact ties
@@ -249,7 +269,7 @@ def spectral_decompose(rho: DensityMatrix, tol: float = SPECTRAL_TOL):
             vec = vec * (lead.conjugate() / abs(lead))
         pairs.append((float(w[idx]), PureState(vec)))
     total = sum(val for val, _ in pairs)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > SPECTRAL_TOL:
         raise ValueError(f"eigenvalues sum to {total!r}, expected 1")
     return pairs
 

@@ -95,7 +95,9 @@ Circuit text format, one statement per line, `#` starts a comment:
 Gate set: x y z h s t rx(t) ry(t) rz(t) phase(t) swap, controlled forms
 c<name> (control listed first), and matrix literals.  For multi-qubit
 gates the first listed qubit is the most significant index bit; an
-amplitude list for `input` is renormalized (rejected if off by > 1e-6).
+amplitude list for `input` is rejected if its norm is off 1 by more than
+`qsdiag.core.TEXT_NORM_TOL` (1e-6), kept as written if its norm is exactly
+1.0 (so a `-0.0` entry keeps its sign), and divided by its norm otherwise.
 Lists follow one strict grammar: `input [...]` is one list `[a, b, ...]`
 with nothing after it, and a matrix literal is such lists, its rows,
 joined by single commas inside one more pair of brackets.
@@ -113,10 +115,14 @@ import numpy as np
 
 from .composite import _scatter_table
 from .core import (
+    DRIFT_TOL,
+    EDGE_TOL,
     MAX_QUBITS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    SPECTRAL_TOL,
+    TEXT_NORM_TOL,
     FormatError,
     PureState,
     _check_n_qubits,
@@ -126,8 +132,6 @@ from .core import (
     unitarity_defect,
 )
 
-# Entries below this magnitude do not produce diagram edges.
-EDGE_TOL = 1e-12
 # Most complete-mode edges a circuit may have, checked by `parse_circuit` and
 # `build_diagram` (an SVG takes about 1 kB per edge).
 MAX_DIAGRAM_EDGES = 262_144
@@ -274,7 +278,7 @@ def build_gate(name: str, params, qubits, n_qubits: int, matrix=None) -> Gate:
             raise FormatError("matrix gate takes no parameters")
         arity = 1 if m.shape[0] == 2 else 2
         defect = unitarity_defect(m)
-        if not defect <= 1e-10:  # also rejects NaN
+        if not defect <= SPECTRAL_TOL:  # also rejects NaN
             raise ValueError(f"matrix literal is not unitary (defect {defect:.3e})")
         full = m
     else:
@@ -374,10 +378,10 @@ def parse_circuit(text: str) -> Circuit:
                         raise ValueError(f"amplitude list needs {dim} entries, got {amps.size}")
                     with np.errstate(over="ignore"):  # |v| = inf fails the check below
                         norm = float(np.linalg.norm(amps))
-                    if abs(norm - 1.0) > 1e-6:
+                    if abs(norm - 1.0) > TEXT_NORM_TOL:
                         raise ValueError(
                             f"input amplitudes are far from normalized (|v| = {norm!r})")
-                    input_state = PureState(amps / norm)
+                    input_state = PureState(amps if norm == 1.0 else amps / norm)
                 else:
                     index = _int(rest, "input index")
                     if not 0 <= index < dim:
@@ -491,7 +495,7 @@ def simulate(circuit: Circuit) -> PureState:
         _step(edges[gate], prev, psi)
     if gates:  # an empty circuit keeps its input's bits
         psi += 0.0
-    return PureState(psi, atol=1e-9)
+    return PureState(psi, atol=DRIFT_TOL)
 
 
 class DiagramLayer:
@@ -595,7 +599,7 @@ def _fmt_amp(z: complex) -> str:
 
 def _input_label(diagram: StateDiagram) -> str:
     hot = np.flatnonzero(diagram.active[0])
-    if hot.size == 1 and abs(diagram.amplitudes[0, hot[0]] - 1.0) < 1e-9:
+    if hot.size == 1 and abs(diagram.amplitudes[0, hot[0]] - 1.0) < DRIFT_TOL:
         return f"|{hot[0]:0{diagram.n_qubits}b}>"
     return "custom"
 

@@ -30,6 +30,10 @@ import numpy as np
 
 from .composite import partial_trace, tensor
 from .core import (
+    DRIFT_TOL,
+    INDEPENDENCE_TOL,
+    PRUNE_TOL,
+    SPECTRAL_TOL,
     DensityMatrix,
     FormatError,
     PureState,
@@ -40,10 +44,6 @@ from .core import (
     unitarity_defect,
 )
 
-COMPLETENESS_TOL = 1e-10
-UNITARY_TOL = 1e-10
-# Operators whose largest entry falls below this are dropped entirely.
-PRUNE_TOL = 1e-14
 # Channels on at most this many qubits step through their transfer matrix.
 TRANSFER_MAX_QUBITS = 3
 
@@ -118,17 +118,17 @@ def _evolve(channel: KrausChannel, m: np.ndarray, steps: int) -> np.ndarray:
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix,
-                  tol: float = COMPLETENESS_TOL, steps: int = 1) -> DensityMatrix:
+                  tol: float = SPECTRAL_TOL, steps: int = 1) -> DensityMatrix:
     """Evolve `rho` through the channel `steps` times: rho' = sum_i F_i rho F_i^dagger.
 
     The channel is checked once and only the final state is validated, with
     a trace and hermiticity slack of 10 * steps * the completeness defect (at
-    least 1e-10), since each step may move the trace by up to the defect.  Up
-    to TRANSFER_MAX_QUBITS qubits each step is one product with the
-    channel's transfer matrix (module docstring), beyond that one operator
-    sum; single and repeated applications share that path, so the result
-    equals `steps` successive single applications bit for bit.  `steps=0`
-    returns `rho` itself.
+    least SPECTRAL_TOL), since each step may move the trace by up to the
+    defect.  Up to TRANSFER_MAX_QUBITS qubits each step is one product with
+    the channel's transfer matrix (module docstring), beyond that one
+    operator sum; single and repeated applications share that path, so the
+    result equals `steps` successive single applications bit for bit.
+    `steps=0` returns `rho` itself.
     """
     if channel.dim != rho.dim:
         raise FormatError(
@@ -140,7 +140,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix,
     if steps == 0:
         return rho
     return DensityMatrix(_evolve(channel, rho.matrix, steps),
-                         atol=max(1e-10, 10 * steps * defect))
+                         atol=max(SPECTRAL_TOL, 10 * steps * defect))
 
 
 def prune_operators(operators):
@@ -162,7 +162,7 @@ def kraus_from_unitary(unitary, env_state: PureState) -> KrausChannel:
     if u.shape != (4, 4):
         raise FormatError(f"expected a 4x4 unitary, got {u.shape[0]}x{u.shape[1]}")
     defect = unitarity_defect(u)
-    if not defect <= UNITARY_TOL:  # also rejects NaN
+    if not defect <= SPECTRAL_TOL:  # also rejects NaN
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     if env_state.n_qubits != 1:
         raise FormatError("environment state must be a single qubit")
@@ -187,7 +187,7 @@ def dilate_single_ancilla(channel: KrausChannel) -> np.ndarray:
         raise FormatError(
             f"dilation needs at most two operators, channel has {len(channel.operators)}"
         )
-    _check_trace_preserving(channel, COMPLETENESS_TOL)
+    _check_trace_preserving(channel, SPECTRAL_TOL)
     f0 = channel.operators[0]
     f1 = channel.operators[1] if len(channel.operators) == 2 else np.zeros((2, 2), dtype=complex)
     cols = [np.concatenate([f0[:, j], f1[:, j]]) for j in range(2)]
@@ -199,11 +199,11 @@ def dilate_single_ancilla(channel: KrausChannel) -> np.ndarray:
         for c in cols:
             v = v - c * np.vdot(c, v)
         norm = np.linalg.norm(v)
-        if norm > 1e-8:
+        if norm > INDEPENDENCE_TOL:
             cols.append(v / norm)
     u = np.column_stack(cols)
     closure = unitarity_defect(u)
-    if closure > 1e-9:
+    if closure > DRIFT_TOL:
         raise ValueError(f"dilation failed to close to a unitary (defect {closure:.3e})")
     return u
 

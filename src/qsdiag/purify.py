@@ -23,12 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, FormatError, PureState, basis_state
+from .core import DEGENERATE_EPS, PHASE_TOL, DensityMatrix, FormatError, PureState, basis_state
 from .diagram import Circuit, build_gate
-
-# Below this weight on |0><0| the closed form divides by ~0; the state is
-# then |1><1| up to rounding and the degenerate branch purifies exactly.
-_DEGENERATE_EPS = 1e-300
 
 
 @dataclass(frozen=True)
@@ -67,14 +63,14 @@ def purify_single_qubit(rho: DensityMatrix) -> PurificationResult:
     p00 = float(m[0, 0].real)
     p11 = float(m[1, 1].real)
     coh = complex(m[0, 1])
-    if p00 > _DEGENERATE_EPS:
+    if p00 > DEGENERATE_EPS:
         root = math.sqrt(p00)
         c00 = complex(root)
         c10 = coh.conjugate() / root
         radicand = (p00 * p11 - abs(coh) ** 2) / p00
         c11 = complex(math.sqrt(max(radicand, 0.0)))
     else:
-        # rho is |1><1| up to rounding: purify the surviving 1x1 block.
+        # rho is |1><1| up to rounding: purify the surviving 1x1 block exactly.
         c00 = complex(0.0)
         c10 = complex(0.0)
         c11 = complex(math.sqrt(max(p11, 0.0)))
@@ -95,7 +91,7 @@ def _angles_from_coefficients(c00: complex, c10: complex, c11: complex) -> tuple
     # in a tiny theta1.
     theta1 = math.atan2(math.hypot(abs(c10), abs(c11)), abs(c00))
     theta2 = math.atan2(abs(c11), abs(c10))
-    phi = cmath.phase(c10) if abs(c10) > 1e-15 else 0.0
+    phi = cmath.phase(c10) if abs(c10) > PHASE_TOL else 0.0
     if phi == 0.0:
         phi = 0.0  # normalize -0.0
     return theta1, theta2, phi

@@ -100,6 +100,18 @@ def test_validate_density_report_negative_eigenvalue():
     assert report.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
 
 
+def test_bounds_table_is_pinned():
+    """`qsdiag.core` names every tolerance of the package once; changing a name or a value
+    changes this table too, so it is never a side effect."""
+    bounds = {name: value for name, value in vars(core).items()
+              if name.endswith(("_TOL", "_EPS"))}
+    assert bounds == {
+        "ALGEBRAIC_TOL": 1e-12, "SPECTRAL_TOL": 1e-10, "DRIFT_TOL": 1e-9,
+        "INDEPENDENCE_TOL": 1e-8, "TEXT_NORM_TOL": 1e-6, "EDGE_TOL": 1e-12,
+        "PRUNE_TOL": 1e-14, "PHASE_TOL": 1e-15, "DEGENERATE_EPS": 1e-300,
+    }
+
+
 def test_spectral_decompose_frozen_eigenvalues():
     rho = DensityMatrix([[0.75, 0.25], [0.25, 0.25]])
     pairs = spectral_decompose(rho)

@@ -67,6 +67,20 @@ def test_parse_amplitude_list_input():
     assert np.abs(circ.input_state.amplitudes - np.array([SQ2, SQ2])).max() < 1e-8
 
 
+@pytest.mark.parametrize("text, want, negative_zero", [
+    ("qubits 2\ninput [0.6, -0.0, 0, -0.8j]\n", [0.6, 0, 0, complex(0, -0.8)], 1),
+    ("qubits 1\ninput [1, -0.0]\n", [1, 0], 1),
+    ("qubits 1\ninput [-0.0, 1]\n", [0, 1], 0),
+])
+def test_parse_keeps_a_unit_norm_amplitude_list_as_written(text, want, negative_zero):
+    """A list whose norm is exactly 1.0 is not divided by it, so its `-0.0` entry keeps
+    its sign in the input state and through `simulate` of an empty circuit."""
+    circ = parse_circuit(text)
+    for amps in (circ.input_state.amplitudes, simulate(circ).amplitudes):
+        assert np.array_equal(amps, want)
+        assert np.flatnonzero(np.signbit(amps.real)).tolist() == [negative_zero]
+
+
 def test_parse_rejects_badly_normalized_input():
     with pytest.raises(CircuitParseError):
         parse_circuit("qubits 1\ninput [1.0, 1.0]\n")
@@ -477,8 +491,8 @@ def test_gate_and_circuit_derive_targets_and_register_size():
     (Gate("cx", (), (5, 0), CX), r"gate 'cx 5 0' targets a qubit outside the register"),
     (Gate("cx", (), (0, 0), CX), r"gate 'cx 0 0' repeats a qubit argument"),
     (Gate("x", (), (-1,), np.eye(2)[::-1]), r"gate 'x -1' targets a qubit outside the register"),
-], ids=["unsorted", "repeated", "negative"])
-def test_circuit_rejects_gate_targets_that_are_not_its_sorted_arguments(gate, message):
+], ids=["outside", "repeated", "negative"])
+def test_circuit_rejects_repeated_or_outside_qubit_arguments(gate, message):
     """A Circuit refuses a gate whose qubit arguments repeat or leave the register."""
     with pytest.raises(FormatError, match=f"^{message}$"):
         Circuit((gate,), basis_state(3, 0))

@@ -1,8 +1,9 @@
 """Every import in `src/` and `tests/` is read somewhere in its own module,
 every function and class `src/` defines is read somewhere in `src/` or
 exported, the third-party modules `src/` imports are its declared
-dependencies, and the test oracles in `tests/helpers.py` take only the
-state records from `qsdiag`.
+dependencies, the test oracles in `tests/helpers.py` take only the
+state records from `qsdiag`, and no tolerance is written in `src/` outside
+`qsdiag.core`'s table of bounds.
 
 An AST scan stands in for a linter.  A name bound by `from m import x` or
 `import m as x` counts as read when the module loads the name anywhere; a
@@ -98,6 +99,38 @@ def test_scan_flags_an_unread_definition():
     sources = {"a": "def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n",
                "b": "import a\nx = a.C\ndef h(g=1):\n    pass\n"}
     assert unread_definitions(sources) == [("a", "f"), ("b", "h")]
+
+
+def tolerance_literals(sources: dict) -> list:
+    """(module, line, value) for every float literal with 0 < |value| <= 1e-6 in `sources`
+    (module name -> source text), except the value of a module-level assignment in `core`
+    whose line directly follows a comment: its reason."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        bounds = {id(node.value) for node in tree.body
+                  if module == "core" and isinstance(node, ast.Assign)
+                  and lines[node.lineno - 2].lstrip().startswith("#")}
+        found += [(module, node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < abs(node.value) <= 1e-6 and id(node) not in bounds]
+    return sorted(found)
+
+
+def test_src_writes_tolerances_only_in_the_bounds_of_core():
+    """Every tolerance `src/qsdiag` compares a defect or a magnitude against is one named,
+    commented constant of `qsdiag.core`; other modules import the names."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert tolerance_literals(sources) == []
+
+
+def test_scan_flags_a_tolerance_literal():
+    sources = {"core": "# why\nA = 1e-12\nB = 1e-9\ndef f(x=1e-10):\n    return x < 2e-7\n",
+               "kraus": "x = 1e-8\ny = 1e-5 + 0.5\nz = -1e-6\nw = max(t, 1e-300)\n"}
+    assert tolerance_literals(sources) == [
+        ("core", 3, 1e-9), ("core", 4, 1e-10), ("core", 5, 2e-7),
+        ("kraus", 1, 1e-8), ("kraus", 3, 1e-6), ("kraus", 4, 1e-300)]
 
 
 def imported_top_levels(source: str) -> set:
